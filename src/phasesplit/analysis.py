@@ -46,13 +46,17 @@ def _fd_directions(dim, count, complex_mode, rng):
     return dirs
 
 
-def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, n_directions=20, rng=None):
+def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, n_directions=20, rng=None,
+                      split_grad_fn=split_grad):
     """Max deviation between analytic and central-difference derivatives.
 
     ``kind`` selects the gradient under test: "split_x", "split_y" or "wf".
-    Directional derivatives are compared along ``n_directions`` random real
-    directions (plus the same count of imaginary ones for complex signals);
-    the deviation is relative where the derivatives are O(1) or larger and
+    The split kinds take their gradients from ``split_grad_fn(e, x, y, b,
+    lam) -> (gx, gy)``, :func:`~phasesplit.objective.split_grad` by default,
+    so a substitute can be checked against the same loss. Directional
+    derivatives are compared along ``n_directions`` random real directions
+    (plus the same count of imaginary ones for complex signals); the
+    deviation is relative where the derivatives are O(1) or larger and
     absolute near a critical point.
     """
     if h <= 0:
@@ -70,7 +74,7 @@ def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, n_directions=20, rng=N
         base = z
     elif kind in ("split_x", "split_y"):
         x, y = (np.asarray(point[0]), np.asarray(point[1]))
-        gx, gy = split_grad(e, x, y, b, lam)
+        gx, gy = split_grad_fn(e, x, y, b, lam)
         if kind == "split_x":
             grad, base = gx, x
 

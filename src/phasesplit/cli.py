@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import bench
+from .signals import gradient_image, save_image
 
 _COMMAND_TO_EXPERIMENT = {
     "phase-transition": "phase_transition",
@@ -32,7 +33,8 @@ def _build_parser():
     for name, help_text in (
         ("phase-transition", "success-rate sweep over oversampling ratios or mask counts"),
         ("converge", "relative error vs iteration for both solvers on one instance"),
-        ("image", "per-channel coded-diffraction recovery of a PGM/PPM image"),
+        ("image", "per-channel coded-diffraction recovery of a PGM/PPM image "
+                  "(default: a 16x16 synthetic gradient written to --out)"),
         ("check", "run every verification instrument; nonzero exit on failure"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -60,7 +62,9 @@ def _load_config(args):
         updates["trials"] = args.trials
     if getattr(args, "image", None):
         updates["image_path"] = args.image
-    return replace(cfg, **updates).validate()
+    cfg = replace(cfg, **updates).validate()
+    bench._resolve_workers(cfg)  # a malformed worker cap is a config error
+    return cfg
 
 
 def main(argv=None):
@@ -103,6 +107,10 @@ def main(argv=None):
         return 0
 
     if args.command == "image":
+        if not cfg.image_path:
+            image_path = os.path.join(args.out, "synthetic_gradient.pgm")
+            save_image(image_path, gradient_image())
+            cfg = replace(cfg, image_path=image_path)
         report = bench.run_image_experiment(cfg, out_dir=args.out)
         path = os.path.join(args.out, "image_report.csv")
         with open(path, "w", encoding="utf-8") as fh:
@@ -112,7 +120,7 @@ def main(argv=None):
         print(f"wrote {path}")
         return 0
 
-    ok, entries = bench.run_checks(cfg)
+    ok, entries = bench.run_checks()
     path = os.path.join(args.out, "checks.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(bench.checks_json(ok, entries))

@@ -23,6 +23,7 @@ __all__ = [
     "forward",
     "adjoint",
     "measure",
+    "check_intensities",
     "dense_frame",
     "sum_column_norms_sq",
     "frame_top_eigenpair",
@@ -150,6 +151,26 @@ def measure(e, x, noise_std=0.0, rng=None):
         if rng is None:
             raise ValueError("noisy measurements need an rng")
         b = np.maximum(b + noise_std * rng.standard_normal(e.N), 0.0)
+    return b
+
+
+def check_intensities(e, b):
+    """``b`` as a float array once it is a valid intensity vector for ``e``.
+
+    Raises ValueError unless ``b`` is real, 1-D of length N, finite and
+    nonnegative; numpy would otherwise broadcast a scalar or short vector
+    and carry NaNs into the iterates.
+    """
+    b = np.asarray(b)
+    if b.ndim != 1 or b.shape[0] != e.N:
+        raise ValueError(f"intensities of shape {b.shape} do not match N={e.N}")
+    if not np.isrealobj(b):
+        raise ValueError("intensities must be real")
+    b = b.astype(float, copy=False)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("intensities must be finite")
+    if np.any(b < 0):
+        raise ValueError("intensities must be nonnegative")
     return b
 
 

@@ -48,9 +48,11 @@ def _check_pair(x, y):
 
 
 def _check_lam(lam):
+    # validates without coercing: the solvers pass numpy lams from
+    # coupling_schedule, and the losses they record keep that scalar type
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    return float(lam)
+    return lam
 
 
 def residuals(e, x, y, b, fx=None, fy=None):
@@ -70,25 +72,17 @@ def split_loss(e, x, y, b, lam, res=None):
     if res is None:
         res = residuals(e, x, y, b)
     data = float(np.sum(res.r.real**2 + res.r.imag**2)) / e.N
-    if lam == 0.0:
-        return data
     return data + lam * float(np.linalg.norm(x - y) ** 2)
 
 
 def split_grad_x(e, res, x, y, lam):
     """Gradient of the split loss in x at fixed y, from cached residuals."""
-    g = (2.0 / e.N) * adjoint(e, np.conj(res.r) * res.fy)
-    if lam != 0.0:
-        g = g + (2.0 * lam) * (x - y)
-    return g
+    return (2.0 / e.N) * adjoint(e, np.conj(res.r) * res.fy) + (2.0 * lam) * (x - y)
 
 
 def split_grad_y(e, res, x, y, lam):
     """Gradient of the split loss in y at fixed x, from cached residuals."""
-    g = (2.0 / e.N) * adjoint(e, res.r * res.fx)
-    if lam != 0.0:
-        g = g + (2.0 * lam) * (y - x)
-    return g
+    return (2.0 / e.N) * adjoint(e, res.r * res.fx) + (2.0 * lam) * (y - x)
 
 
 def split_grad(e, x, y, b, lam):

@@ -16,6 +16,7 @@ __all__ = [
     "random_lowpass_signal",
     "random_gaussian_signal",
     "ImageChannels",
+    "gradient_image",
     "load_image",
     "save_image",
 ]
@@ -67,6 +68,13 @@ class ImageChannels:
     width: int
     height: int
     channels: tuple  # 1 entry for grayscale, 3 for RGB
+
+
+def gradient_image(size=16):
+    """Grayscale diagonal ramp (row + column, scaled to [0, 1]) of size x size."""
+    vals = np.add.outer(np.arange(size), np.arange(size)).astype(float)
+    vals /= vals.max()
+    return ImageChannels(width=size, height=size, channels=(vals.ravel(),))
 
 
 def _read_header_token(data, pos):

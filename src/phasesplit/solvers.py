@@ -18,6 +18,7 @@ choice since the step is computed for the ray actually used.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -25,8 +26,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import relative_error
-from .measurement import adjoint, forward
-from .objective import split_quad_form, wf_quad_form
+# adjoint is unused here but stays a module attribute: instrumentation
+# (phasebench/tracer.py) patches forward and adjoint in every namespace
+from .measurement import adjoint, check_intensities, forward  # noqa: F401
+from .objective import (
+    residuals,
+    split_grad_x,
+    split_grad_y,
+    split_loss,
+    split_quad_form,
+    wf_grad,
+    wf_loss,
+    wf_quad_form,
+)
 
 __all__ = [
     "SplitPoint",
@@ -79,7 +91,6 @@ class SolverConfig:
     schedules: Schedules
     mode: str = "fixed_schedule"  # or "exact_linesearch"
     stop_tolerance: float | None = None  # None: always run the full budget
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_rounds < 1:
@@ -122,19 +133,40 @@ def coupling_schedule(tau, lam0, lam_decay):
     return lam0 * np.exp(-lam_decay * tau)
 
 
-def _warn_if_rank_deficient(e):
-    if e.maybe_rank_deficient:
-        warnings.warn(
-            f"frame has N={e.N} < d={e.d}; the split loss is not coercive "
-            "for rank-deficient frames and the solver may not converge",
-            stacklevel=3,
-        )
-
-
 def _step_scale(schedules, z0):
     if schedules.step_scaling == "by_theta_squared":
         return float(np.linalg.norm(z0) ** 2)
     return 1.0
+
+
+def _linesearch_step(sq_grad_norm, quad_form_value):
+    # argmin of the exact one-block quadratic model; 0 at a critical point
+    if sq_grad_norm == 0.0 or quad_form_value == 0.0:
+        return 0.0
+    return sq_grad_norm / (2.0 * quad_form_value)
+
+
+def _alt_round(e, b, x, y, res, lam, alpha=None, beta=None):
+    """One alternating round from (x, y), whose residuals ``res`` are cached.
+
+    The y-gradient is evaluated at the already-updated x. A step left as None
+    is chosen by exact line search on that block's quadratic. Costs 4 matvecs
+    (6 with line search). Returns the new x and y, the residuals there (which
+    the next round's x-gradient reuses), the x step and both gradients.
+    """
+    gx = split_grad_x(e, res, x, y, lam)
+    if alpha is None:
+        q = split_quad_form(e, y, gx, lam, f_anchor=res.fy)
+        alpha = _linesearch_step(float(np.linalg.norm(gx) ** 2), q)
+    x = x - alpha * gx
+    res = residuals(e, x, y, b, fx=forward(e, x), fy=res.fy)
+    gy = split_grad_y(e, res, x, y, lam)
+    if beta is None:
+        q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
+        beta = _linesearch_step(float(np.linalg.norm(gy) ** 2), q)
+    y = y - beta * gy
+    res = residuals(e, x, y, b, fx=res.fx, fy=forward(e, y))
+    return x, y, res, alpha, (gx, gy)
 
 
 def altmin_step(e, b, point, alpha, beta, lam):
@@ -147,23 +179,105 @@ def altmin_step(e, b, point, alpha, beta, lam):
     x, y = np.asarray(point[0]), np.asarray(point[1])
     if x.shape != y.shape or x.shape[0] != e.d:
         raise ValueError("split point does not match the ensemble dimension")
-    fy = forward(e, y)
-    fx = forward(e, x)
-    r = np.conj(fx) * fy - b
-    gx = (2.0 / e.N) * adjoint(e, np.conj(r) * fy) + (2.0 * lam) * (x - y)
-    x = x - alpha * gx
-    fx = forward(e, x)
-    r = np.conj(fx) * fy - b
-    gy = (2.0 / e.N) * adjoint(e, r * fx) + (2.0 * lam) * (y - x)
-    y = y - beta * gy
+    b = check_intensities(e, b)
+    x, y, _, _, _ = _alt_round(e, b, x, y, residuals(e, x, y, b), lam, alpha, beta)
     return SplitPoint(x=x, y=y)
 
 
-def _linesearch_step(sq_grad_norm, quad_form_value):
-    # argmin of the exact one-block quadratic model; 0 at a critical point
-    if sq_grad_norm == 0.0 or quad_form_value == 0.0:
-        return 0.0
-    return sq_grad_norm / (2.0 * quad_form_value)
+def _alt_rounds(e, b, z, cfg, scale):
+    """Alternating rounds from x = y = z, in the form :func:`_solve` takes."""
+    sched = cfg.schedules
+    x, y = z, z.copy()
+    res = residuals(e, x, y, b)
+    lam = coupling_schedule(1, sched.lam0, sched.lam_decay)
+    yield TraceRow(0, 0, split_loss(e, x, y, b, lam, res=res), None, 0.0, lam, None)
+    alpha = beta = None  # exact line search
+    for tau in itertools.count(1):
+        lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
+        if cfg.mode == "fixed_schedule":
+            # mu multiplies the Wirtinger derivative = gx / 2
+            alpha = beta = step_schedule(tau, sched.tau0, sched.mu_max) / (2.0 * scale)
+        x, y, res, mu, grads = _alt_round(e, b, x, y, res, lam, alpha, beta)
+        value = split_loss(e, x, y, b, lam, res=res)
+        yield TraceRow(tau, tau, value, None, mu, lam, None), grads, (x, y, (x + y) / 2.0)
+
+
+def _wf_rounds(e, b, z, cfg, scale):
+    """Flow iterations from z (2 matvecs each, 3 with line search)."""
+    sched = cfg.schedules
+    fz = forward(e, z)
+    yield TraceRow(0, 0, None, wf_loss(e, z, b, fz=fz), 0.0, 0.0, None)
+    for tau in itertools.count(1):
+        g = wf_grad(e, z, b, fz=fz)
+        if cfg.mode == "exact_linesearch":
+            delta = 0.0
+            sq = float(np.linalg.norm(g) ** 2)
+            q = wf_quad_form(e, z, g, fz=fz)
+            if sq > 0.0 and q > 0.0:
+                delta = sq / q
+        else:
+            # mu multiplies the reference-convention derivative = g / 4
+            delta = step_schedule(tau, sched.tau0, sched.mu_max) / (4.0 * scale)
+        z = z - delta * g
+        fz = forward(e, z)
+        yield TraceRow(tau, tau, None, wf_loss(e, z, b, fz=fz), delta, 0.0, None), (g,), (z, z, z)
+
+
+def _solve(e, b, z0, cfg, truth, rounds):
+    """The loop both solvers share: trace, divergence flag and stop rule.
+
+    ``rounds(e, b, z, cfg, scale)`` yields the trace row of the start, then
+    per round its row, the gradients it took and the (x, y, estimate) it
+    reached; rows come without their error, which is filled in here.
+    """
+    b = check_intensities(e, b)
+    if e.maybe_rank_deficient:
+        warnings.warn(
+            f"frame has N={e.N} < d={e.d}; the split loss is not coercive "
+            "for rank-deficient frames and the solver may not converge",
+            stacklevel=3,
+        )
+    z0 = np.asarray(z0)
+    z = z0.astype(complex if e.is_complex else float, copy=True)
+    steps = rounds(e, b, z, cfg, _step_scale(cfg.schedules, z0))
+
+    def rel(zv):
+        return None if truth is None else relative_error(truth, zv)
+
+    trace = [next(steps)]
+    trace[0].rel_error = rel(z0)
+    converged = False
+    diverged = False
+    rounds_used = 0
+
+    # overflow here means divergence, which is reported via the flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tau, (row, grads, (x, y, z)) in zip(range(1, cfg.max_rounds + 1), steps):
+            rounds_used = tau
+            if not np.isfinite(row.G if row.E is None else row.E):
+                diverged = True
+                break
+            row.rel_error = rel(z)
+            trace.append(row)
+
+            if cfg.stop_tolerance is not None:
+                if truth is not None:
+                    if row.rel_error <= cfg.stop_tolerance:
+                        converged = True
+                        break
+                elif max(np.linalg.norm(g) for g in grads) <= cfg.stop_tolerance:
+                    converged = True
+                    break
+
+    return SolveResult(
+        x_final=x,
+        y_final=y,
+        z_final=z,
+        trace=trace,
+        converged=converged,
+        rounds_used=rounds_used,
+        diverged=diverged,
+    )
 
 
 def altmin_solve(e, b, z0, cfg, truth=None):
@@ -173,80 +287,7 @@ def altmin_solve(e, b, z0, cfg, truth=None):
     starting point). A non-finite objective aborts the run with the
     ``diverged`` flag set instead of raising.
     """
-    _warn_if_rank_deficient(e)
-    z0 = np.asarray(z0)
-    sched = cfg.schedules
-    scale = _step_scale(sched, z0)
-    x = z0.astype(complex if e.is_complex else float, copy=True)
-    y = x.copy()
-    fx = forward(e, x)
-    fy = forward(e, y)
-
-    def objective(lam):
-        r = np.conj(fx) * fy - b
-        val = float(np.sum(r.real**2 + r.imag**2)) / e.N
-        return val + lam * float(np.linalg.norm(x - y) ** 2)
-
-    def rel(z):
-        return None if truth is None else relative_error(truth, z)
-
-    lam1 = coupling_schedule(1, sched.lam0, sched.lam_decay)
-    trace = [TraceRow(0, 0, objective(lam1), None, 0.0, lam1, rel(z0))]
-    converged = False
-    diverged = False
-    rounds_used = 0
-
-    # overflow here means divergence, which is reported via the flag
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tau in range(1, cfg.max_rounds + 1):
-            lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
-            if cfg.mode == "fixed_schedule":
-                # mu multiplies the Wirtinger derivative = gx / 2
-                mu = step_schedule(tau, sched.tau0, sched.mu_max)
-                alpha = beta = mu / (2.0 * scale)
-
-            r = np.conj(fx) * fy - b
-            gx = (2.0 / e.N) * adjoint(e, np.conj(r) * fy) + (2.0 * lam) * (x - y)
-            if cfg.mode == "exact_linesearch":
-                q = split_quad_form(e, y, gx, lam, f_anchor=fy)
-                alpha = _linesearch_step(float(np.linalg.norm(gx) ** 2), q)
-            x = x - alpha * gx
-            fx = forward(e, x)
-
-            r = np.conj(fx) * fy - b
-            gy = (2.0 / e.N) * adjoint(e, r * fx) + (2.0 * lam) * (y - x)
-            if cfg.mode == "exact_linesearch":
-                q = split_quad_form(e, x, gy, lam, f_anchor=fx)
-                beta = _linesearch_step(float(np.linalg.norm(gy) ** 2), q)
-            y = y - beta * gy
-            fy = forward(e, y)
-
-            value = objective(lam)
-            rounds_used = tau
-            if not np.isfinite(value):
-                diverged = True
-                break
-            err = rel((x + y) / 2.0)
-            trace.append(TraceRow(tau, tau, value, None, alpha, lam, err))
-
-            if cfg.stop_tolerance is not None:
-                if truth is not None:
-                    if err <= cfg.stop_tolerance:
-                        converged = True
-                        break
-                elif max(np.linalg.norm(gx), np.linalg.norm(gy)) <= cfg.stop_tolerance:
-                    converged = True
-                    break
-
-    return SolveResult(
-        x_final=x,
-        y_final=y,
-        z_final=(x + y) / 2.0,
-        trace=trace,
-        converged=converged,
-        rounds_used=rounds_used,
-        diverged=diverged,
-    )
+    return _solve(e, b, z0, cfg, truth, _alt_rounds)
 
 
 def wf_solve(e, b, z0, cfg, truth=None):
@@ -255,68 +296,7 @@ def wf_solve(e, b, z0, cfg, truth=None):
     Matched-budget comparisons give the flow twice the alternating round
     count, since each alternating round performs two block updates.
     """
-    _warn_if_rank_deficient(e)
-    z0 = np.asarray(z0)
-    sched = cfg.schedules
-    scale = _step_scale(sched, z0)
-    z = z0.astype(complex if e.is_complex else float, copy=True)
-    fz = forward(e, z)
-
-    def loss(fzv):
-        r = fzv.real**2 + fzv.imag**2 - b
-        return float(np.sum(r * r)) / e.N
-
-    def rel(zv):
-        return None if truth is None else relative_error(truth, zv)
-
-    trace = [TraceRow(0, 0, None, loss(fz), 0.0, 0.0, rel(z0))]
-    converged = False
-    diverged = False
-    rounds_used = 0
-
-    # overflow here means divergence, which is reported via the flag
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tau in range(1, cfg.max_rounds + 1):
-            r = fz.real**2 + fz.imag**2 - b
-            g = (4.0 / e.N) * adjoint(e, r * fz)
-            if cfg.mode == "exact_linesearch":
-                delta = 0.0
-                sq = float(np.linalg.norm(g) ** 2)
-                q = wf_quad_form(e, z, g, fz=fz)
-                if sq > 0.0 and q > 0.0:
-                    delta = sq / q
-            else:
-                # mu multiplies the reference-convention derivative = g / 4
-                delta = step_schedule(tau, sched.tau0, sched.mu_max) / (4.0 * scale)
-            z = z - delta * g
-            fz = forward(e, z)
-
-            value = loss(fz)
-            rounds_used = tau
-            if not np.isfinite(value):
-                diverged = True
-                break
-            err = rel(z)
-            trace.append(TraceRow(tau, tau, None, value, delta, 0.0, err))
-
-            if cfg.stop_tolerance is not None:
-                if truth is not None:
-                    if err <= cfg.stop_tolerance:
-                        converged = True
-                        break
-                elif np.linalg.norm(g) <= cfg.stop_tolerance:
-                    converged = True
-                    break
-
-    return SolveResult(
-        x_final=z,
-        y_final=z,
-        z_final=z,
-        trace=trace,
-        converged=converged,
-        rounds_used=rounds_used,
-        diverged=diverged,
-    )
+    return _solve(e, b, z0, cfg, truth, _wf_rounds)
 
 
 TRACE_CSV_HEADER = "round,tau,E,G,mu,lambda,rel_error"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import rng_stream
-from .measurement import adjoint, forward, sum_column_norms_sq
+from .measurement import adjoint, check_intensities, forward, sum_column_norms_sq
 
 __all__ = ["InitResult", "apply_spectral_matrix", "spectral_init"]
 
@@ -38,7 +38,7 @@ def spectral_init(e, b, iters=50, rng=None):
     """
     if iters < 1:
         raise ValueError("need at least one power iteration")
-    b = np.asarray(b, dtype=float)
+    b = check_intensities(e, b)
     if not np.any(b > 0):
         raise ValueError("all-zero intensities carry no direction information")
     if rng is None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phasesplit import bench, cli
-from phasesplit.signals import ImageChannels, save_image
+from phasesplit.signals import ImageChannels, load_image, save_image
 from phasesplit.solvers import Schedules
 
 FAST_ALT = Schedules(tau0=330.0, mu_max=0.4, lam0=300.0, lam_decay=0.15 / 330)
@@ -112,6 +112,11 @@ class TestPhaseTransition:
     def test_worker_env_cap(self, monkeypatch):
         monkeypatch.setenv(bench.WORKER_ENV_VAR, "1")
         assert bench._resolve_workers(tiny_phase_config(workers=8)) == 1
+
+    def test_malformed_worker_cap_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(bench.WORKER_ENV_VAR, "two")
+        with pytest.raises(ValueError, match=bench.WORKER_ENV_VAR):
+            bench._resolve_workers(tiny_phase_config(workers=8))
 
     def test_wf_solver_selectable(self):
         cfg = tiny_phase_config(algo="wf", grid=(6.0,), iterations=800)
@@ -257,6 +262,20 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("experiment=warp\n")
         assert cli.main(["check", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_malformed_worker_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(bench.WORKER_ENV_VAR, "2.5")
+        assert cli.main(["phase-transition", "--out", str(tmp_path)]) == 2
+        assert bench.WORKER_ENV_VAR in capsys.readouterr().err
+
+    def test_image_command_defaults_to_synthetic_gradient(self, tmp_path):
+        cfg_path = tmp_path / "img.cfg"
+        cfg_path.write_text("preset=image_small\nimage_rounds=10,20\nseed=2\n")
+        assert cli.main(["image", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        image = load_image(tmp_path / "synthetic_gradient.pgm")
+        assert (image.width, image.height, len(image.channels)) == (16, 16, 1)
+        assert (tmp_path / "image_report.csv").exists()
+        assert (tmp_path / "recovered_20.pgm").exists()
 
     def test_image_command(self, tmp_path):
         path = gradient_pgm(tmp_path)

@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasesplit import objective, solvers
 from phasesplit.analysis import monotonicity_audit
 from phasesplit.core import phase_dist, rng_stream
-from phasesplit.measurement import forward, gaussian_ensemble, measure, upper_frame_bound
+from phasesplit.measurement import (
+    cdp_ensemble,
+    forward,
+    gaussian_ensemble,
+    measure,
+    upper_frame_bound,
+)
 from phasesplit.objective import split_grad, split_loss, split_quad_form
 from phasesplit.signals import random_gaussian_signal
 from phasesplit.solvers import (
@@ -262,3 +269,109 @@ class TestTraceCsv:
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=3, schedules=ALT))
         rows = trace_to_csv(res).strip().splitlines()[1:]
         assert all(r.endswith(",") for r in rows)
+
+
+class TestCostModel:
+    """Matvecs per round: the paper's iteration-matched budgets as counts."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cdp"])
+    @pytest.mark.parametrize(
+        "solve, sched, mode, per_round",
+        [
+            (altmin_solve, ALT, "fixed_schedule", 4),
+            (wf_solve, WF, "fixed_schedule", 2),
+            (altmin_solve, ALT, "exact_linesearch", 6),
+            (wf_solve, WF, "exact_linesearch", 3),
+        ],
+        ids=["alt", "wf", "alt-linesearch", "wf-linesearch"],
+    )
+    def test_matvecs_per_round(self, monkeypatch, kind, solve, sched, mode, per_round):
+        d = 16
+        e = gaussian_ensemble(d, 6 * d, seed=20) if kind == "gaussian" else cdp_ensemble(d, 6, seed=20)
+        x0 = random_gaussian_signal(d, rng_stream(20, 1))
+        b = measure(e, x0)
+        init = spectral_init(e, b, rng=rng_stream(20, 2))
+
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (solvers, objective):
+            for name in ("forward", "adjoint"):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+
+        def matvecs(rounds):
+            calls[0] = 0
+            cfg = SolverConfig(max_rounds=rounds, schedules=sched, mode=mode)
+            res = solve(e, b, init.z0, cfg)
+            assert res.rounds_used == rounds and not res.diverged
+            return calls[0]
+
+        # the difference cancels the forwards at the starting point
+        assert matvecs(7) - matvecs(2) == 5 * per_round
+
+
+_CONTRACT_E = gaussian_ensemble(8, 48, seed=21)
+_CONTRACT_X = random_gaussian_signal(8, rng_stream(21, 1))
+_CONTRACT_B = measure(_CONTRACT_E, _CONTRACT_X)
+
+ENTRY_POINTS = {
+    "altmin_solve": lambda b: altmin_solve(
+        _CONTRACT_E, b, _CONTRACT_X, SolverConfig(max_rounds=2, schedules=ALT)
+    ),
+    "wf_solve": lambda b: wf_solve(
+        _CONTRACT_E, b, _CONTRACT_X, SolverConfig(max_rounds=2, schedules=WF)
+    ),
+    "spectral_init": lambda b: spectral_init(_CONTRACT_E, b, iters=2, rng=rng_stream(21, 2)),
+}
+
+
+def _with_entry(index, value):
+    b = _CONTRACT_B.copy()
+    b[index % b.size] = value
+    return b
+
+
+class TestInputContract:
+    """Malformed intensities are rejected at the public boundary."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_accepts_valid_intensities(self, entry):
+        ENTRY_POINTS[entry](_CONTRACT_B)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @given(
+        st.one_of(
+            st.floats(0.0, 1e3).map(np.float64),  # scalar
+            st.integers(0, 200).filter(lambda n: n != 48).map(np.ones),  # wrong length
+            st.integers(1, 3).map(lambda k: np.ones((k, 48))),  # not 1-D
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_rejects_wrong_shape(self, entry, b):
+        with pytest.raises(ValueError, match="shape"):
+            ENTRY_POINTS[entry](b)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @given(st.integers(0, 47), st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=25, deadline=None)
+    def test_rejects_nonfinite(self, entry, index, value):
+        with pytest.raises(ValueError, match="finite"):
+            ENTRY_POINTS[entry](_with_entry(index, value))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @given(st.integers(0, 47), st.floats(1e-300, 1e300))
+    @settings(max_examples=25, deadline=None)
+    def test_rejects_negative(self, entry, index, magnitude):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ENTRY_POINTS[entry](_with_entry(index, -magnitude))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_complex(self, entry):
+        with pytest.raises(ValueError, match="real"):
+            ENTRY_POINTS[entry](_CONTRACT_B + 0j)
