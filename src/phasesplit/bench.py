@@ -45,6 +45,7 @@ __all__ = [
     "run_image_experiment",
     "image_report_csv",
     "run_checks",
+    "resolve_workers",
     "WORKER_ENV_VAR",
 ]
 
@@ -211,7 +212,8 @@ def config_from_file(path):
         return parse_config(fh.read())
 
 
-def _resolve_workers(cfg):
+def resolve_workers(cfg):
+    """Pool size for a sweep: ``cfg.workers`` capped by PHASESPLIT_MAX_WORKERS."""
     cap = os.environ.get(WORKER_ENV_VAR)
     workers = cfg.workers
     if cap is not None:
@@ -278,7 +280,7 @@ def run_phase_transition(cfg):
         for gi, grid_value in enumerate(cfg.grid)
         for ti in range(cfg.trials)
     ]
-    workers = _resolve_workers(cfg)
+    workers = resolve_workers(cfg)
     t0 = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -63,7 +63,8 @@ def _load_config(args):
     if getattr(args, "image", None):
         updates["image_path"] = args.image
     cfg = replace(cfg, **updates).validate()
-    bench._resolve_workers(cfg)  # a malformed worker cap is a config error
+    if args.command == "phase-transition":
+        bench.resolve_workers(cfg)  # only sweeps read the worker cap
     return cfg
 
 

@@ -70,11 +70,11 @@ class ImageChannels:
     channels: tuple  # 1 entry for grayscale, 3 for RGB
 
 
-def gradient_image(size=16):
-    """Grayscale diagonal ramp (row + column, scaled to [0, 1]) of size x size."""
-    vals = np.add.outer(np.arange(size), np.arange(size)).astype(float)
+def gradient_image():
+    """16x16 grayscale diagonal ramp (row + column, scaled to [0, 1])."""
+    vals = np.add.outer(np.arange(16), np.arange(16)).astype(float)
     vals /= vals.max()
-    return ImageChannels(width=size, height=size, channels=(vals.ravel(),))
+    return ImageChannels(width=16, height=16, channels=(vals.ravel(),))
 
 
 def _read_header_token(data, pos):

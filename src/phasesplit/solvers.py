@@ -150,9 +150,10 @@ def _alt_round(e, b, x, y, res, lam, alpha=None, beta=None):
     """One alternating round from (x, y), whose residuals ``res`` are cached.
 
     The y-gradient is evaluated at the already-updated x. A step left as None
-    is chosen by exact line search on that block's quadratic. Costs 4 matvecs
-    (6 with line search). Returns the new x and y, the residuals there (which
-    the next round's x-gradient reuses), the x step and both gradients.
+    is chosen by exact line search on that block's quadratic. Costs 3 matvecs
+    (5 with line search). Returns the new x and y, forward(x) at the new x
+    (with forward(y) the caller rebuilds the residuals for the next
+    x-gradient), the x step and both gradients.
     """
     gx = split_grad_x(e, res, x, y, lam)
     if alpha is None:
@@ -165,8 +166,7 @@ def _alt_round(e, b, x, y, res, lam, alpha=None, beta=None):
         q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
         beta = _linesearch_step(float(np.linalg.norm(gy) ** 2), q)
     y = y - beta * gy
-    res = residuals(e, x, y, b, fx=res.fx, fy=forward(e, y))
-    return x, y, res, alpha, (gx, gy)
+    return x, y, res.fx, alpha, (gx, gy)
 
 
 def altmin_step(e, b, point, alpha, beta, lam):
@@ -197,7 +197,8 @@ def _alt_rounds(e, b, z, cfg, scale):
         if cfg.mode == "fixed_schedule":
             # mu multiplies the Wirtinger derivative = gx / 2
             alpha = beta = step_schedule(tau, sched.tau0, sched.mu_max) / (2.0 * scale)
-        x, y, res, mu, grads = _alt_round(e, b, x, y, res, lam, alpha, beta)
+        x, y, fx, mu, grads = _alt_round(e, b, x, y, res, lam, alpha, beta)
+        res = residuals(e, x, y, b, fx=fx, fy=forward(e, y))
         value = split_loss(e, x, y, b, lam, res=res)
         yield TraceRow(tau, tau, value, None, mu, lam, None), grads, (x, y, (x + y) / 2.0)
 

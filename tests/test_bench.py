@@ -111,12 +111,12 @@ class TestPhaseTransition:
 
     def test_worker_env_cap(self, monkeypatch):
         monkeypatch.setenv(bench.WORKER_ENV_VAR, "1")
-        assert bench._resolve_workers(tiny_phase_config(workers=8)) == 1
+        assert bench.resolve_workers(tiny_phase_config(workers=8)) == 1
 
     def test_malformed_worker_cap_names_the_variable(self, monkeypatch):
         monkeypatch.setenv(bench.WORKER_ENV_VAR, "two")
         with pytest.raises(ValueError, match=bench.WORKER_ENV_VAR):
-            bench._resolve_workers(tiny_phase_config(workers=8))
+            bench.resolve_workers(tiny_phase_config(workers=8))
 
     def test_wf_solver_selectable(self):
         cfg = tiny_phase_config(algo="wf", grid=(6.0,), iterations=800)
@@ -267,6 +267,10 @@ class TestCli:
         monkeypatch.setenv(bench.WORKER_ENV_VAR, "2.5")
         assert cli.main(["phase-transition", "--out", str(tmp_path)]) == 2
         assert bench.WORKER_ENV_VAR in capsys.readouterr().err
+
+    def test_malformed_worker_cap_ignored_without_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(bench.WORKER_ENV_VAR, "2.5")
+        assert cli.main(["check", "--out", str(tmp_path)]) == 0
 
     def test_image_command_defaults_to_synthetic_gradient(self, tmp_path):
         cfg_path = tmp_path / "img.cfg"

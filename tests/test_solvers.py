@@ -274,24 +274,8 @@ class TestTraceCsv:
 class TestCostModel:
     """Matvecs per round: the paper's iteration-matched budgets as counts."""
 
-    @pytest.mark.parametrize("kind", ["gaussian", "cdp"])
-    @pytest.mark.parametrize(
-        "solve, sched, mode, per_round",
-        [
-            (altmin_solve, ALT, "fixed_schedule", 4),
-            (wf_solve, WF, "fixed_schedule", 2),
-            (altmin_solve, ALT, "exact_linesearch", 6),
-            (wf_solve, WF, "exact_linesearch", 3),
-        ],
-        ids=["alt", "wf", "alt-linesearch", "wf-linesearch"],
-    )
-    def test_matvecs_per_round(self, monkeypatch, kind, solve, sched, mode, per_round):
-        d = 16
-        e = gaussian_ensemble(d, 6 * d, seed=20) if kind == "gaussian" else cdp_ensemble(d, 6, seed=20)
-        x0 = random_gaussian_signal(d, rng_stream(20, 1))
-        b = measure(e, x0)
-        init = spectral_init(e, b, rng=rng_stream(20, 2))
-
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = [0]
 
         def counted(fn):
@@ -304,6 +288,28 @@ class TestCostModel:
         for module in (solvers, objective):
             for name in ("forward", "adjoint"):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        return calls
+
+    @staticmethod
+    def _instance(kind, d=16):
+        e = gaussian_ensemble(d, 6 * d, seed=20) if kind == "gaussian" else cdp_ensemble(d, 6, seed=20)
+        x0 = random_gaussian_signal(d, rng_stream(20, 1))
+        b = measure(e, x0)
+        return e, b, spectral_init(e, b, rng=rng_stream(20, 2))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cdp"])
+    @pytest.mark.parametrize(
+        "solve, sched, mode, per_round",
+        [
+            (altmin_solve, ALT, "fixed_schedule", 4),
+            (wf_solve, WF, "fixed_schedule", 2),
+            (altmin_solve, ALT, "exact_linesearch", 6),
+            (wf_solve, WF, "exact_linesearch", 3),
+        ],
+        ids=["alt", "wf", "alt-linesearch", "wf-linesearch"],
+    )
+    def test_matvecs_per_round(self, calls, kind, solve, sched, mode, per_round):
+        e, b, init = self._instance(kind)
 
         def matvecs(rounds):
             calls[0] = 0
@@ -314,6 +320,13 @@ class TestCostModel:
 
         # the difference cancels the forwards at the starting point
         assert matvecs(7) - matvecs(2) == 5 * per_round
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cdp"])
+    def test_altmin_step_costs_five(self, calls, kind):
+        # two forwards at the start, then adjoint, forward(x), adjoint
+        e, b, init = self._instance(kind)
+        altmin_step(e, b, SplitPoint(init.z0, init.z0), 1e-4, 1e-4, 5.0)
+        assert calls[0] == 5
 
 
 _CONTRACT_E = gaussian_ensemble(8, 48, seed=21)
