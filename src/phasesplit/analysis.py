@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import rng_stream
-from .measurement import forward, frame_top_eigenpair, measure
+from .measurement import forward, frame_top_eigenpair, measure, random_vector
 from .objective import (
     split_grad,
     split_loss,
@@ -123,12 +123,8 @@ def frame_bound_check(e, trials, rng=None, tol=1e-8):
     worst = -np.inf
     violations = 0
     for _ in range(trials):
-        if e.is_complex:
-            u = rng.standard_normal(e.d) + 1j * rng.standard_normal(e.d)
-            v = rng.standard_normal(e.d) + 1j * rng.standard_normal(e.d)
-        else:
-            u = rng.standard_normal(e.d)
-            v = rng.standard_normal(e.d)
+        u = random_vector(e, rng)
+        v = random_vector(e, rng)
         lhs = float(np.sum(np.abs(forward(e, u)) * np.abs(forward(e, v))))
         rhs = bound * float(np.linalg.norm(u) * np.linalg.norm(v))
         slack = lhs - rhs

@@ -12,7 +12,8 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .measurement import (
     adjoint,
     gaussian_ensemble,
     measure,
+    random_vector,
     upper_frame_bound,
 )
 from .objective import split_grad
@@ -45,11 +47,7 @@ __all__ = [
     "run_image_experiment",
     "image_report_csv",
     "run_checks",
-    "resolve_workers",
-    "WORKER_ENV_VAR",
 ]
-
-WORKER_ENV_VAR = "PHASESPLIT_MAX_WORKERS"
 
 # The coupling weight lam0 = 300 puts the decay rate of the x/y scale
 # mismatch, 2*lam*mu_max / (2*theta^2), near 0.03 per round for the synthetic
@@ -70,10 +68,10 @@ class ExperimentConfig:
     algo: str = "alt"  # solver for phase-transition trials: alt | wf
     d: int = 128
     trials: int = 20
-    iterations: int = 2500  # total budget; alternating rounds = iterations // 2
+    iterations: int = 2500  # iterations // 2 alternating rounds, twice that many flow iterations
     grid: tuple = (3.0, 3.5, 4.0, 4.5, 5.0, 6.0)  # N/d ratios, or mask counts for cdp
     seed: int = 1
-    workers: int = 1
+    workers: int = 1  # pool size for sweeps, capped at the CPUs this process may use
     success_threshold: float = 1e-5
     stop_tol: float = 0.0  # early-stop on relative error; 0 keeps the full budget
     power_iters: int = 50
@@ -92,14 +90,24 @@ class ExperimentConfig:
             raise ValueError(f"unknown signal {self.signal!r}")
         if self.algo not in ("alt", "wf"):
             raise ValueError(f"unknown algo {self.algo!r}")
-        if min(self.d, self.trials, self.iterations, self.power_iters) < 1:
-            raise ValueError("d, trials, iterations and power_iters must be positive")
+        if min(self.d, self.trials, self.iterations, self.power_iters, self.image_L) < 1:
+            raise ValueError("d, trials, iterations, power_iters and image_L must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if len(self.grid) == 0 or any(g <= 0 for g in self.grid):
-            raise ValueError("grid values must be positive")
+        if self.success_threshold <= 0:
+            raise ValueError("success_threshold must be positive")
+        if self.stop_tol < 0:
+            raise ValueError("stop_tol must be >= 0")
+        if len(self.grid) == 0 or any(not 0 < g < np.inf for g in self.grid):
+            raise ValueError("grid values must be positive and finite")
         if list(self.grid) != sorted(set(self.grid)):
             raise ValueError("grid must be strictly increasing")
+        if self.experiment in ("phase_transition", "converge"):
+            # the image experiment reads neither the grid nor a synthetic signal
+            if self.signal == "image":
+                raise ValueError(f"{self.experiment} needs a synthetic signal (gaussian or lowpass)")
+            if self.model == "cdp" and any(not float(g).is_integer() for g in self.grid):
+                raise ValueError("cdp grid values are mask counts and must be integers")
         if len(self.image_rounds) == 0 or any(n < 1 for n in self.image_rounds):
             raise ValueError("image_rounds must be positive")
         return self
@@ -152,21 +160,11 @@ _SCHEDULE_KEYS = {
     "wf_mu_max": ("wf", "mu_max", float),
 }
 
+# every config field with a plain int, float or str default, parsed by that type
 _SCALAR_KEYS = {
-    "experiment": str,
-    "model": str,
-    "signal": str,
-    "algo": str,
-    "d": int,
-    "trials": int,
-    "iterations": int,
-    "seed": int,
-    "workers": int,
-    "success_threshold": float,
-    "stop_tol": float,
-    "power_iters": int,
-    "image_path": str,
-    "image_L": int,
+    f.name: type(f.default)
+    for f in fields(ExperimentConfig)
+    if isinstance(f.default, (int, float, str))
 }
 
 
@@ -212,17 +210,11 @@ def config_from_file(path):
         return parse_config(fh.read())
 
 
-def resolve_workers(cfg):
-    """Pool size for a sweep: ``cfg.workers`` capped by PHASESPLIT_MAX_WORKERS."""
-    cap = os.environ.get(WORKER_ENV_VAR)
-    workers = cfg.workers
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ValueError(f"{WORKER_ENV_VAR} must be an integer, got {cap!r}") from None
-        workers = min(workers, max(1, cap))
-    return workers
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _make_ensemble(model, d, grid_value, seed):
@@ -240,27 +232,39 @@ def _make_signal(kind, d, rng):
     raise ValueError(f"no synthetic generator for signal kind {kind!r}")
 
 
-def _solve_instance(cfg, grid_value, grid_idx, trial_idx):
-    """One fully seeded trial; returns the final relative error (inf if diverged)."""
+def _synthetic_instance(cfg, grid_value, grid_idx, trial_idx):
+    """The seeded ensemble (role 0) and signal (role 1) of one synthetic instance."""
     e = _make_ensemble(cfg.model, cfg.d, grid_value, derive_seed(cfg.seed, grid_idx, trial_idx, 0))
     x0 = _make_signal(cfg.signal, cfg.d, rng_stream(cfg.seed, grid_idx, trial_idx, 1))
+    return e, x0
+
+
+def _measure_and_start(cfg, e, x0, grid_idx, trial_idx):
+    """Intensities of ``x0`` and the spectral start seeded by role 2."""
     b = measure(e, x0)
     init = spectral_init(e, b, iters=cfg.power_iters, rng=rng_stream(cfg.seed, grid_idx, trial_idx, 2))
+    return b, init.z0
+
+
+def _run_solver(cfg, algo, e, b, z0, x0, rounds, stop=None):
+    """``rounds`` alternating rounds, or the matched 2 * ``rounds`` flow iterations."""
+    if algo == "wf":
+        solver_cfg = SolverConfig(max_rounds=2 * rounds, schedules=cfg.wf, stop_tolerance=stop)
+        return wf_solve(e, b, z0, solver_cfg, truth=x0)
+    solver_cfg = SolverConfig(max_rounds=rounds, schedules=cfg.alt, stop_tolerance=stop)
+    return altmin_solve(e, b, z0, solver_cfg, truth=x0)
+
+
+def _trial_error(cfg, task):
+    """Final relative error of one fully seeded sweep trial (inf if diverged)."""
+    grid_value, grid_idx, trial_idx = task
+    e, x0 = _synthetic_instance(cfg, grid_value, grid_idx, trial_idx)
+    b, z0 = _measure_and_start(cfg, e, x0, grid_idx, trial_idx)
     stop = cfg.stop_tol if cfg.stop_tol > 0 else None
-    if cfg.algo == "wf":
-        solver_cfg = SolverConfig(max_rounds=cfg.iterations, schedules=cfg.wf, stop_tolerance=stop)
-        result = wf_solve(e, b, init.z0, solver_cfg, truth=x0)
-    else:
-        solver_cfg = SolverConfig(max_rounds=cfg.iterations // 2, schedules=cfg.alt, stop_tolerance=stop)
-        result = altmin_solve(e, b, init.z0, solver_cfg, truth=x0)
+    result = _run_solver(cfg, cfg.algo, e, b, z0, x0, cfg.iterations // 2, stop)
     if result.diverged:
         return float("inf")
     return relative_error(x0, result.z_final)
-
-
-def _phase_trial(args):
-    cfg, grid_value, grid_idx, trial_idx = args
-    return grid_idx, trial_idx, _solve_instance(cfg, grid_value, grid_idx, trial_idx)
 
 
 @dataclass
@@ -275,26 +279,19 @@ class PhaseTransitionRow:
 def run_phase_transition(cfg):
     """Success-rate sweep over the config grid; returns one row per grid point."""
     cfg.validate()
-    tasks = [
-        (cfg, grid_value, gi, ti)
-        for gi, grid_value in enumerate(cfg.grid)
-        for ti in range(cfg.trials)
-    ]
-    workers = resolve_workers(cfg)
+    tasks = [(grid_value, gi, ti) for gi, grid_value in enumerate(cfg.grid) for ti in range(cfg.trials)]
+    trial = partial(_trial_error, cfg)
+    workers = min(cfg.workers, _usable_cpus())
     t0 = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_phase_trial, tasks, chunksize=1))
+            errors = list(pool.map(trial, tasks, chunksize=1))
     else:
-        outcomes = [_phase_trial(t) for t in tasks]
+        errors = list(map(trial, tasks))
     elapsed = time.perf_counter() - t0
 
-    errors = {}
-    for gi, ti, err in outcomes:
-        errors.setdefault(gi, {})[ti] = err
     rows = []
-    for gi, grid_value in enumerate(cfg.grid):
-        errs = np.array([errors[gi][ti] for ti in range(cfg.trials)])
+    for grid_value, errs in zip(cfg.grid, np.array(errors).reshape(len(cfg.grid), cfg.trials)):
         finite = errs[np.isfinite(errs)]
         successes = int(np.sum(errs < cfg.success_threshold))
         rows.append(
@@ -328,15 +325,12 @@ def run_convergence_curve(cfg):
     """
     cfg.validate()
     grid_value = cfg.grid[-1] if cfg.model == "cdp" else 4.5
-    e = _make_ensemble(cfg.model, cfg.d, grid_value, derive_seed(cfg.seed, 0, 0, 0))
-    x0 = _make_signal(cfg.signal, cfg.d, rng_stream(cfg.seed, 0, 0, 1))
-    b = measure(e, x0)
-    init = spectral_init(e, b, iters=cfg.power_iters, rng=rng_stream(cfg.seed, 0, 0, 2))
+    e, x0 = _synthetic_instance(cfg, grid_value, 0, 0)
+    b, z0 = _measure_and_start(cfg, e, x0, 0, 0)
 
-    rounds = cfg.iterations // 2
     t0 = time.perf_counter()
-    alt = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=rounds, schedules=cfg.alt), truth=x0)
-    wf = wf_solve(e, b, init.z0, SolverConfig(max_rounds=cfg.iterations, schedules=cfg.wf), truth=x0)
+    alt = _run_solver(cfg, "alt", e, b, z0, x0, cfg.iterations // 2)
+    wf = _run_solver(cfg, "wf", e, b, z0, x0, cfg.iterations // 2)
     elapsed = time.perf_counter() - t0
 
     # Robustness bound ingredients (the stability constant is not computable,
@@ -403,10 +397,9 @@ def run_image_experiment(cfg, out_dir=None):
     for ci, channel in enumerate(image.channels):
         e = cdp_ensemble(d, cfg.image_L, seed=derive_seed(cfg.seed, ci, 0, 0))
         x0 = np.asarray(channel)
-        b = measure(e, x0)
-        init = spectral_init(e, b, iters=cfg.power_iters, rng=rng_stream(cfg.seed, ci, 0, 2))
-        alt = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=max_n, schedules=cfg.alt), truth=x0)
-        wf = wf_solve(e, b, init.z0, SolverConfig(max_rounds=2 * max_n, schedules=cfg.wf), truth=x0)
+        b, z0 = _measure_and_start(cfg, e, x0, ci, 0)
+        alt = _run_solver(cfg, "alt", e, b, z0, x0, max_n)
+        wf = _run_solver(cfg, "wf", e, b, z0, x0, max_n)
 
         def _errors_at(result, stride=1):
             # diverged runs have truncated traces; report inf past the break
@@ -470,14 +463,9 @@ def run_checks(grad_override=None):
     for fieldname, bound in (("real", 1e-6), ("complex", 1e-5)):
         e = gaussian_ensemble(8, 40, field=fieldname, seed=101)
         rng = rng_stream(101, 7)
-        draw = (
-            (lambda: rng.standard_normal(8))
-            if fieldname == "real"
-            else (lambda: rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        )
-        x0 = draw()
+        x0 = random_vector(e, rng)
         b = measure(e, x0)
-        point = (draw(), draw())
+        point = (random_vector(e, rng), random_vector(e, rng))
         worst = 0.0
         for kind in ("split_x", "split_y", "wf"):
             if kind == "wf":
@@ -495,7 +483,7 @@ def run_checks(grad_override=None):
         rng = rng_stream(102, 1)
         worst = 0.0
         for _ in range(100):
-            v = rng.standard_normal(e.d) + 1j * rng.standard_normal(e.d)
+            v = random_vector(e, rng)
             w = rng.standard_normal(e.N) + 1j * rng.standard_normal(e.N)
             lhs = np.vdot(forward(e, v), w)
             rhs = np.vdot(v, adjoint(e, w))
@@ -508,7 +496,7 @@ def run_checks(grad_override=None):
     rng = rng_stream(104, 1)
     worst = 0.0
     for _ in range(20):
-        v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        v = random_vector(e, rng)
         fast = forward(e, v)
         slow = dense.conj().T @ v
         worst = max(worst, np.linalg.norm(fast - slow) / np.linalg.norm(slow))

@@ -1,7 +1,7 @@
 """Command-line entry points for the benchmark harness.
 
 Subcommands: phase-transition, converge, image, check. Experiments are
-configured by a flat key=value file and/or a named preset; --seed and
+configured by a flat key=value file or a named preset; --seed and
 --trials override the config. Results land in --out as CSV/JSON (and
 recovered images for the image experiment).
 """
@@ -15,14 +15,6 @@ from dataclasses import replace
 
 from . import bench
 from .signals import gradient_image, save_image
-
-_COMMAND_TO_EXPERIMENT = {
-    "phase-transition": "phase_transition",
-    "converge": "converge",
-    "image": "image",
-    "check": "check",
-}
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -38,8 +30,9 @@ def _build_parser():
         ("check", "run every verification instrument; nonzero exit on failure"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--preset", choices=sorted(bench.PRESETS), help="named built-in config")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="key=value config file")
+        source.add_argument("--preset", choices=sorted(bench.PRESETS), help="named built-in config")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--trials", type=int, help="override the config trial count")
         p.add_argument("--out", default=".", help="output directory (default: current)")
@@ -55,17 +48,14 @@ def _load_config(args):
         cfg = bench.PRESETS[args.preset]
     else:
         cfg = bench.ExperimentConfig()
-    updates = {"experiment": _COMMAND_TO_EXPERIMENT[args.command]}
+    updates = {"experiment": args.command.replace("-", "_")}
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.trials is not None:
         updates["trials"] = args.trials
     if getattr(args, "image", None):
         updates["image_path"] = args.image
-    cfg = replace(cfg, **updates).validate()
-    if args.command == "phase-transition":
-        bench.resolve_workers(cfg)  # only sweeps read the worker cap
-    return cfg
+    return replace(cfg, **updates).validate()
 
 
 def main(argv=None):

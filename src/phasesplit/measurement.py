@@ -26,6 +26,8 @@ __all__ = [
     "check_intensities",
     "dense_frame",
     "sum_column_norms_sq",
+    "random_vector",
+    "power_iteration",
     "frame_top_eigenpair",
     "upper_frame_bound",
     "ensemble_to_text",
@@ -192,30 +194,48 @@ def sum_column_norms_sq(e):
     return float(np.sum(np.abs(e.frame) ** 2))
 
 
+def random_vector(e, rng):
+    """A standard normal vector of length d in the ensemble's field.
+
+    Complex draws are re + 1j*im with unit-variance parts (no 1/sqrt(2)).
+    """
+    if e.is_complex:
+        return rng.standard_normal(e.d) + 1j * rng.standard_normal(e.d)
+    return rng.standard_normal(e.d)
+
+
+def power_iteration(apply, v, iters, tol=None):
+    """Power iteration ``v -> apply(v) / ||apply(v)||`` from ``v``, normalized first.
+
+    Returns the Rayleigh quotients v^* apply(v), one per application, and
+    the last unit iterate. Stops when ``apply(v)`` vanishes (its quotient is
+    then 0 and ``v`` is kept) or, when ``tol`` is given, once the quotient
+    changes by at most ``tol`` relative to itself.
+    """
+    v = v / np.linalg.norm(v)
+    rayleigh = []
+    for _ in range(iters):
+        w = apply(v)
+        rayleigh.append(float(np.real(np.vdot(v, w))))
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0:
+            break
+        v = w / nrm
+        if tol is not None and len(rayleigh) > 1:
+            if abs(rayleigh[-1] - rayleigh[-2]) <= tol * max(abs(rayleigh[-1]), 1e-300):
+                break
+    return rayleigh, v
+
+
 def frame_top_eigenpair(e, tol=1e-10, max_iter=10_000, seed=0):
     """Largest eigenvalue of F F^* and a unit eigenvector, by power iteration.
 
     Iterates v -> adjoint(forward(v)) matrix-free until the Rayleigh quotient
     stalls to relative tolerance ``tol``.
     """
-    rng = rng_stream(seed, 0xB0)
-    if e.is_complex:
-        v = rng.standard_normal(e.d) + 1j * rng.standard_normal(e.d)
-    else:
-        v = rng.standard_normal(e.d)
-    v = v / np.linalg.norm(v)
-    rho_prev = None
-    for _ in range(max_iter):
-        w = adjoint(e, forward(e, v))
-        rho = float(np.real(np.vdot(v, w)))
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0, v
-        v = w / nrm
-        if rho_prev is not None and abs(rho - rho_prev) <= tol * max(abs(rho), 1e-300):
-            return rho, v
-        rho_prev = rho
-    return rho_prev, v
+    start = random_vector(e, rng_stream(seed, 0xB0))
+    rayleigh, v = power_iteration(lambda u: adjoint(e, forward(e, u)), start, max_iter, tol)
+    return rayleigh[-1], v
 
 
 def upper_frame_bound(e, tol=1e-10, max_iter=10_000):

@@ -211,11 +211,8 @@ def _wf_rounds(e, b, z, cfg, scale):
     for tau in itertools.count(1):
         g = wf_grad(e, z, b, fz=fz)
         if cfg.mode == "exact_linesearch":
-            delta = 0.0
-            sq = float(np.linalg.norm(g) ** 2)
-            q = wf_quad_form(e, z, g, fz=fz)
-            if sq > 0.0 and q > 0.0:
-                delta = sq / q
+            # step ||g||^2 / q, the minimizer of the flow's curvature model along g
+            delta = _linesearch_step(float(np.linalg.norm(g) ** 2), wf_quad_form(e, z, g, fz=fz) / 2.0)
         else:
             # mu multiplies the reference-convention derivative = g / 4
             delta = step_schedule(tau, sched.tau0, sched.mu_max) / (4.0 * scale)

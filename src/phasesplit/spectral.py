@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import rng_stream
-from .measurement import adjoint, check_intensities, forward, sum_column_norms_sq
+from .measurement import (
+    adjoint,
+    check_intensities,
+    forward,
+    power_iteration,
+    random_vector,
+    sum_column_norms_sq,
+)
 
 __all__ = ["InitResult", "apply_spectral_matrix", "spectral_init"]
 
@@ -43,28 +50,11 @@ def spectral_init(e, b, iters=50, rng=None):
         raise ValueError("all-zero intensities carry no direction information")
     if rng is None:
         rng = rng_stream(e.seed, 0x171)
-    if e.is_complex:
-        v = rng.standard_normal(e.d) + 1j * rng.standard_normal(e.d)
-    else:
-        v = rng.standard_normal(e.d)
-    v = v / np.linalg.norm(v)
-
-    rayleigh = np.empty(iters)
-    used = 0
-    for k in range(iters):
-        w = apply_spectral_matrix(e, b, v)
-        rayleigh[k] = float(np.real(np.vdot(v, w)))
-        used = k + 1
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            rayleigh = rayleigh[:used]
-            break
-        v = w / nrm
-
+    rayleigh, v = power_iteration(lambda u: apply_spectral_matrix(e, b, u), random_vector(e, rng), iters)
     theta = float(np.sqrt(e.d * float(np.sum(b)) / sum_column_norms_sq(e)))
     return InitResult(
         z0=theta * v,
         theta=theta,
-        power_iterations_used=used,
-        rayleigh_trace=rayleigh[:used],
+        power_iterations_used=len(rayleigh),
+        rayleigh_trace=np.array(rayleigh),
     )

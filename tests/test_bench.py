@@ -73,6 +73,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="grid"):
             bench.parse_config("grid=4,4\n")
 
+    def test_scalar_keys_cover_plain_fields(self):
+        assert set(bench._SCALAR_KEYS) == {
+            "experiment", "model", "signal", "algo", "d", "trials", "iterations", "seed",
+            "workers", "success_threshold", "stop_tol", "power_iters", "image_path", "image_L",
+        }
+        assert bench.parse_config("stop_tol=1e-6\nimage_L=3\n").stop_tol == 1e-6
+
     def test_image_requires_path_at_run_time(self):
         cfg = bench.parse_config("experiment=image\nsignal=image\nmodel=cdp\n")
         with pytest.raises(ValueError, match="image_path"):
@@ -109,19 +116,34 @@ class TestPhaseTransition:
         )
         assert serial == parallel
 
-    def test_worker_env_cap(self, monkeypatch):
-        monkeypatch.setenv(bench.WORKER_ENV_VAR, "1")
-        assert bench.resolve_workers(tiny_phase_config(workers=8)) == 1
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-CPU process must not start a pool")
 
-    def test_malformed_worker_cap_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(bench.WORKER_ENV_VAR, "two")
-        with pytest.raises(ValueError, match=bench.WORKER_ENV_VAR):
-            bench.resolve_workers(tiny_phase_config(workers=8))
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        cfg = tiny_phase_config(workers=8, grid=(6.0,), trials=2)
+        serial = bench.run_phase_transition(replace(cfg, workers=1))
+        assert bench.run_phase_transition(cfg) == serial
 
     def test_wf_solver_selectable(self):
         cfg = tiny_phase_config(algo="wf", grid=(6.0,), iterations=800)
         rows = bench.run_phase_transition(cfg)
         assert rows[0].successes > 0
+
+    @pytest.mark.parametrize("algo, expected", [("wf", 800), ("alt", 400)])
+    def test_odd_budget_is_matched(self, monkeypatch, algo, expected):
+        budgets = []
+        for name in ("wf_solve", "altmin_solve"):
+            solve = getattr(bench, name)
+
+            def spy(e, b, z0, cfg, truth=None, solve=solve):
+                budgets.append(cfg.max_rounds)
+                return solve(e, b, z0, cfg, truth=truth)
+
+            monkeypatch.setattr(bench, name, spy)
+        bench.run_phase_transition(tiny_phase_config(algo=algo, grid=(6.0,), trials=1, iterations=801))
+        assert budgets == [expected]
 
 
 class TestConvergence:
@@ -147,6 +169,12 @@ class TestConvergence:
         assert all(i % 2 == 0 for i in alt_iters)
         # truth is known, so every row carries a relative error
         assert all(l.split(",")[3] != "" for l in lines[1:])
+
+    def test_odd_budget_is_matched(self):
+        cfg = tiny_phase_config(experiment="converge", d=16, iterations=201, stop_tol=0.0)
+        _, _, _, summary = bench.run_convergence_curve(cfg)
+        assert summary["alt_rounds"] == 100
+        assert summary["wf_iterations"] == 2 * summary["alt_rounds"]
 
     def test_deterministic(self):
         cfg = tiny_phase_config(experiment="converge", d=16, iterations=200, stop_tol=0.0)
@@ -263,14 +291,33 @@ class TestCli:
         bad.write_text("experiment=warp\n")
         assert cli.main(["check", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
-    def test_malformed_worker_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(bench.WORKER_ENV_VAR, "2.5")
-        assert cli.main(["phase-transition", "--out", str(tmp_path)]) == 2
-        assert bench.WORKER_ENV_VAR in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, cfg_text, match",
+        [
+            ("phase-transition", "model=cdp\ngrid=4.5\n", "integers"),
+            ("phase-transition", "grid=3,inf\n", "finite"),
+            ("converge", "model=cdp\ngrid=4,5.5\n", "integers"),
+            ("converge", "preset=image_small\n", "synthetic signal"),
+            ("phase-transition", "signal=image\n", "synthetic signal"),
+            ("image", "preset=image_small\nimage_L=0\n", "image_L"),
+            ("phase-transition", "stop_tol=-1e-8\n", "stop_tol"),
+            ("converge", "success_threshold=0\n", "success_threshold"),
+        ],
+    )
+    def test_misleading_config_is_config_error(self, tmp_path, capsys, command, cfg_text, match):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(cfg_text)
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and match in err
 
-    def test_malformed_worker_cap_ignored_without_sweep(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(bench.WORKER_ENV_VAR, "2.5")
-        assert cli.main(["check", "--out", str(tmp_path)]) == 0
+    def test_config_and_preset_are_exclusive(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("d=16\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["converge", "--config", str(cfg_path), "--preset", "cdp_gaussian"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_image_command_defaults_to_synthetic_gradient(self, tmp_path):
         cfg_path = tmp_path / "img.cfg"

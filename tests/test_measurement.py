@@ -14,6 +14,8 @@ from phasesplit.measurement import (
     forward,
     gaussian_ensemble,
     measure,
+    power_iteration,
+    random_vector,
     sum_column_norms_sq,
     upper_frame_bound,
 )
@@ -199,6 +201,44 @@ class TestFrameBound:
         e = cdp_ensemble(8, 3, seed=19)
         dense = dense_frame(e)
         assert sum_column_norms_sq(e) == pytest.approx(np.sum(np.abs(dense) ** 2), rel=1e-12)
+
+
+class TestPowerIteration:
+    def test_fixed_count(self):
+        m = np.diag([3.0, 1.0, 0.5])
+        rayleigh, v = power_iteration(lambda u: m @ u, np.ones(3), 7)
+        assert len(rayleigh) == 7
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert rayleigh[-1] == pytest.approx(3.0, rel=1e-3)
+
+    def test_stops_when_quotient_stalls(self):
+        m = np.diag([3.0, 1.0, 0.5])
+        rayleigh, v = power_iteration(lambda u: m @ u, np.ones(3), 10_000, tol=1e-12)
+        assert 2 <= len(rayleigh) < 10_000
+        assert abs(rayleigh[-1] - rayleigh[-2]) <= 1e-12 * rayleigh[-1]
+        assert abs(v[0]) == pytest.approx(1.0)
+
+    def test_zero_map_keeps_last_iterate(self):
+        rayleigh, v = power_iteration(lambda u: np.zeros_like(u), np.array([3.0, 4.0]), 5, tol=1e-10)
+        assert rayleigh == [0.0]
+        assert np.array_equal(v, [0.6, 0.8])
+
+
+class TestRandomVector:
+    def test_real_for_real_ensemble(self):
+        v = random_vector(gaussian_ensemble(6, 12, field="real"), rng_stream(1))
+        assert v.shape == (6,) and np.isrealobj(v)
+
+    @pytest.mark.parametrize(
+        "e", [gaussian_ensemble(6, 12, field="real"), gaussian_ensemble(6, 12), cdp_ensemble(6, 2)]
+    )
+    def test_matches_inline_draw(self, e):
+        a, b = rng_stream(2, 7), rng_stream(2, 7)
+        if e.is_complex:
+            expected = b.standard_normal(e.d) + 1j * b.standard_normal(e.d)
+        else:
+            expected = b.standard_normal(e.d)
+        assert np.array_equal(random_vector(e, a), expected)
 
 
 class TestSerialization:
