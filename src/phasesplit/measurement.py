@@ -212,6 +212,8 @@ def power_iteration(apply, v, iters, tol=None):
     then 0 and ``v`` is kept) or, when ``tol`` is given, once the quotient
     changes by at most ``tol`` relative to itself.
     """
+    if iters < 1:
+        raise ValueError("need at least one power iteration")
     v = v / np.linalg.norm(v)
     rayleigh = []
     for _ in range(iters):

@@ -43,8 +43,6 @@ def spectral_init(e, b, iters=50, rng=None):
     ``rng`` seeds the random start vector; by default a stream derived from
     the ensemble's own seed is used so the result is reproducible.
     """
-    if iters < 1:
-        raise ValueError("need at least one power iteration")
     b = check_intensities(e, b)
     if not np.any(b > 0):
         raise ValueError("all-zero intensities carry no direction information")

@@ -218,6 +218,10 @@ class TestPowerIteration:
         assert abs(rayleigh[-1] - rayleigh[-2]) <= 1e-12 * rayleigh[-1]
         assert abs(v[0]) == pytest.approx(1.0)
 
+    def test_needs_one_iteration(self):
+        with pytest.raises(ValueError, match="at least one"):
+            upper_frame_bound(gaussian_ensemble(4, 8), max_iter=0)
+
     def test_zero_map_keeps_last_iterate(self):
         rayleigh, v = power_iteration(lambda u: np.zeros_like(u), np.array([3.0, 4.0]), 5, tol=1e-10)
         assert rayleigh == [0.0]
