@@ -108,6 +108,10 @@ class ExperimentConfig:
                 raise ValueError(f"{self.experiment} needs a synthetic signal (gaussian or lowpass)")
             if self.model == "cdp" and any(not float(g).is_integer() for g in self.grid):
                 raise ValueError("cdp grid values are mask counts and must be integers")
+        if self.experiment == "phase_transition" and self.model != "cdp":
+            # _make_ensemble draws N = round(g * d) measurements
+            if any(round(g * self.d) < 1 for g in self.grid):
+                raise ValueError(f"gaussian grid values must give N = round(grid * d) >= 1 at d={self.d}")
         if len(self.image_rounds) == 0 or any(n < 1 for n in self.image_rounds):
             raise ValueError("image_rounds must be positive")
         return self

@@ -9,6 +9,7 @@ re-derivable from their seed, and applied matrix-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,22 @@ class Ensemble:
         # degenerate random draws have probability zero and are not checked.
         return self.N < self.d
 
+    @cached_property
+    def frame_conj(self):
+        """The conjugated Gaussian frame, built on first use and read-only."""
+        # conj() of a real array is the array itself; the view keeps a
+        # caller's writable frame writable.
+        conj = self.frame.conj().view()
+        conj.setflags(write=False)
+        return conj
+
+    def __getstate__(self):
+        # The cached conjugate is derived data: pickles leave it out and the
+        # copy rebuilds it, read-only, on first use.
+        state = dict(self.__dict__)
+        state.pop("frame_conj", None)
+        return state
+
 
 def gaussian_ensemble(d, N, field="complex", seed=0):
     """Frame of N i.i.d. Gaussian columns in dimension d, fixed by ``seed``."""
@@ -131,7 +148,9 @@ def forward(e, v):
     v = _check_signal(e, v)
     if e.kind == "cdp":
         return np.fft.fft(np.conj(e.masks) * v[None, :], axis=1).ravel()
-    return e.frame.conj().T @ v
+    # the same gemv on the same bytes as e.frame.conj().T @ v, without
+    # copying the d x N frame on every call
+    return e.frame_conj.T @ v
 
 
 def adjoint(e, w):
@@ -147,6 +166,8 @@ def adjoint(e, w):
 
 def measure(e, x, noise_std=0.0, rng=None):
     """Intensities b = |f_n^* x|^2, optionally with clamped additive noise."""
+    if not (np.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     fx = forward(e, x)
     b = fx.real**2 + fx.imag**2
     if noise_std > 0.0:

@@ -302,6 +302,7 @@ class TestCli:
             ("image", "preset=image_small\nimage_L=0\n", "image_L"),
             ("phase-transition", "stop_tol=-1e-8\n", "stop_tol"),
             ("converge", "success_threshold=0\n", "success_threshold"),
+            ("phase-transition", "d=16\ngrid=0.01,4\n", "round(grid * d) >= 1"),
         ],
     )
     def test_misleading_config_is_config_error(self, tmp_path, capsys, command, cfg_text, match):

@@ -1,3 +1,6 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,66 @@ class TestForwardAdjoint:
             adjoint(e, np.ones(5))
 
 
+def _direct_complex_ensemble(d=8, N=20):
+    rng = rng_stream(21, 0)
+    frame = rng.standard_normal((d, N)) + 1j * rng.standard_normal((d, N))
+    return Ensemble(kind="gaussian_complex", d=d, N=N, seed=0, frame=frame)
+
+
+class TestConjugateFrame:
+    """forward applies a conjugated frame cached once per Gaussian ensemble."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gaussian_ensemble(128, 576, seed=17),
+        lambda: gaussian_ensemble(128, 576, field="real", seed=17),
+        lambda: gaussian_ensemble(64, 385, seed=18),
+        lambda: gaussian_ensemble(16, 8, seed=19),
+        lambda: gaussian_ensemble(16, 8, field="real", seed=19),
+        lambda: gaussian_ensemble(1, 3, seed=20),
+        _direct_complex_ensemble,
+    ])
+    def test_bit_identical_to_conjugate_transpose(self, make):
+        e = make()
+        rng = rng_stream(22, e.N)
+        for v in (rng.standard_normal(e.d), rng.standard_normal(e.d) + 1j * rng.standard_normal(e.d)):
+            for _ in range(2):  # the first call builds the cache, the second reuses it
+                assert np.array_equal(forward(e, v), e.frame.conj().T @ v)
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_cache_is_built_once_and_read_only(self, field):
+        e = gaussian_ensemble(12, 30, field=field, seed=23)
+        assert e.frame_conj is e.frame_conj
+        assert not e.frame_conj.flags.writeable
+        with pytest.raises(ValueError):
+            e.frame_conj[0, 0] = 0.0
+
+    def test_caller_frame_stays_writable(self):
+        e = identity_ensemble(3)
+        assert not e.frame_conj.flags.writeable
+        assert e.frame.flags.writeable
+
+    def test_pickle_round_trip(self):
+        e = _direct_complex_ensemble()
+        v = rng_stream(24, 0).standard_normal(e.d) + 0j
+        expected = forward(e, v)
+        clone = pickle.loads(pickle.dumps(e))
+        assert "frame_conj" not in vars(clone)
+        assert np.array_equal(forward(clone, v), expected)
+        assert not clone.frame_conj.flags.writeable
+
+    def test_forward_does_not_copy_the_frame(self):
+        e = gaussian_ensemble(128, 576, seed=25)
+        v = rng_stream(25, 0).standard_normal(128) + 1j * rng_stream(25, 1).standard_normal(128)
+        forward(e, v)  # builds the cached conjugate
+        tracemalloc.start()
+        try:
+            forward(e, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < e.frame.nbytes // 10
+
+
 class TestMeasure:
     def test_zero_signal(self):
         e = gaussian_ensemble(5, 11, seed=12)
@@ -172,6 +235,13 @@ class TestMeasure:
         noisy = measure(e, x, noise_std=0.1, rng=rng_stream(16, 2))
         assert np.all(noisy >= 0.0)
         assert not np.allclose(noisy, measure(e, x))
+
+    @pytest.mark.parametrize("noise_std", [-0.5, np.nan, np.inf])
+    def test_rejects_bad_noise_level(self, noise_std):
+        e = gaussian_ensemble(8, 24, seed=16)
+        x = rng_stream(16, 1).standard_normal(8)
+        with pytest.raises(ValueError, match="noise_std"):
+            measure(e, x, noise_std=noise_std, rng=rng_stream(16, 2))
 
 
 class TestFrameBound:
