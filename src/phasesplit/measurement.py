@@ -148,8 +148,8 @@ def forward(e, v):
     v = _check_signal(e, v)
     if e.kind == "cdp":
         return np.fft.fft(np.conj(e.masks) * v[None, :], axis=1).ravel()
-    # the same gemv on the same bytes as e.frame.conj().T @ v, without
-    # copying the d x N frame on every call
+    # Apply the transposed view: a contiguous copy of the conjugate transpose
+    # runs a different gemv and changes the last bits of every output.
     return e.frame_conj.T @ v
 
 
