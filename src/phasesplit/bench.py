@@ -8,7 +8,10 @@ so reruns produce byte-identical CSV output regardless of worker count.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +36,8 @@ from .objective import split_grad
 from .signals import load_image, random_gaussian_signal, random_lowpass_signal, save_image, ImageChannels
 from .solvers import Schedules, SolverConfig, altmin_solve, wf_solve
 from .spectral import spectral_init
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ExperimentConfig",
@@ -94,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("d, trials, iterations, power_iters and image_L must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.success_threshold <= 0:
             raise ValueError("success_threshold must be positive")
         if self.stop_tol < 0:
@@ -221,6 +228,30 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+_SET_BLAS_THREADS = "scipy_openblas_set_num_threads64_"
+
+
+def _openblas_path():
+    """numpy's bundled OpenBLAS library if it exports the thread setter, else None."""
+    numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(numpy_libs, "libscipy_openblas64_*.so"))):
+        if hasattr(ctypes.CDLL(path), _SET_BLAS_THREADS):
+            return path
+    return None
+
+
+def _one_blas_thread(path):
+    """Pool initializer: one BLAS thread per worker, so workers do not
+    oversubscribe the cores with the BLAS threads of every other worker.
+    Does nothing when ``path`` is None."""
+    if path is None:
+        return
+    set_threads = getattr(ctypes.CDLL(path), _SET_BLAS_THREADS)
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
+
+
 def _make_ensemble(model, d, grid_value, seed):
     if model == "cdp":
         return cdp_ensemble(d, int(round(grid_value)), seed=seed)
@@ -288,7 +319,10 @@ def run_phase_transition(cfg):
     workers = min(cfg.workers, _usable_cpus())
     t0 = time.perf_counter()
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        blas = _openblas_path()
+        if blas is None:
+            log.warning("numpy's bundled OpenBLAS not found: sweep workers keep their default BLAS threads")
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread, initargs=(blas,)) as pool:
             errors = list(pool.map(trial, tasks, chunksize=1))
     else:
         errors = list(map(trial, tasks))

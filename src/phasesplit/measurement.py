@@ -9,7 +9,6 @@ re-derivable from their seed, and applied matrix-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -87,22 +86,6 @@ class Ensemble:
         # degenerate random draws have probability zero and are not checked.
         return self.N < self.d
 
-    @cached_property
-    def frame_conj(self):
-        """The conjugated Gaussian frame, built on first use and read-only."""
-        # conj() of a real array is the array itself; the view keeps a
-        # caller's writable frame writable.
-        conj = self.frame.conj().view()
-        conj.setflags(write=False)
-        return conj
-
-    def __getstate__(self):
-        # The cached conjugate is derived data: pickles leave it out and the
-        # copy rebuilds it, read-only, on first use.
-        state = dict(self.__dict__)
-        state.pop("frame_conj", None)
-        return state
-
 
 def gaussian_ensemble(d, N, field="complex", seed=0):
     """Frame of N i.i.d. Gaussian columns in dimension d, fixed by ``seed``."""
@@ -148,9 +131,17 @@ def forward(e, v):
     v = _check_signal(e, v)
     if e.kind == "cdp":
         return np.fft.fft(np.conj(e.masks) * v[None, :], axis=1).ravel()
-    # Apply the transposed view: a contiguous copy of the conjugate transpose
-    # runs a different gemv and changes the last bits of every output.
-    return e.frame_conj.T @ v
+    if e.frame.dtype.kind != "c":
+        return e.frame.T @ v
+    # conj(F^T conj(v)) runs the gemv of F^* v on sign-flipped inputs, so its
+    # bytes equal those of F^* v while reading the one frame adjoint reads: a
+    # second d x N copy would double the working set. The imaginary part is
+    # negated as 0 - t, not -t, so an exact zero stays +0 as in F^* v. Real
+    # frames skip this form, which would turn a +0 imaginary part into -0.
+    out = e.frame.T @ v.conj()
+    imag = out.imag
+    np.subtract(0.0, imag, out=imag)
+    return out
 
 
 def adjoint(e, w):

@@ -1,3 +1,6 @@
+import ctypes
+import logging
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +12,13 @@ from phasesplit.solvers import Schedules
 
 FAST_ALT = Schedules(tau0=330.0, mu_max=0.4, lam0=300.0, lam_decay=0.15 / 330)
 FAST_WF = Schedules(tau0=330.0, mu_max=0.2)
+
+
+def _worker_blas_threads():
+    get_threads = ctypes.CDLL(bench._openblas_path()).scipy_openblas_get_num_threads64_
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    return get_threads()
 
 
 def tiny_phase_config(**overrides):
@@ -125,6 +135,36 @@ class TestPhaseTransition:
         cfg = tiny_phase_config(workers=8, grid=(6.0,), trials=2)
         serial = bench.run_phase_transition(replace(cfg, workers=1))
         assert bench.run_phase_transition(cfg) == serial
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        if bench._openblas_path() is None:
+            pytest.skip("numpy has no bundled OpenBLAS here")
+        pool_kwargs = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                pool_kwargs.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        bench.run_phase_transition(tiny_phase_config(workers=2, grid=(6.0,), trials=2))
+        [kwargs] = pool_kwargs
+        with ProcessPoolExecutor(**kwargs) as pool:
+            assert pool.submit(_worker_blas_threads).result(timeout=60) == 1
+
+    @pytest.mark.parametrize("missing", ["library", "symbol"])
+    def test_sweep_without_bundled_openblas(self, monkeypatch, caplog, missing):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+        cfg = tiny_phase_config(grid=(6.0,), trials=2)
+        serial = bench.run_phase_transition(cfg)
+        if missing == "library":
+            monkeypatch.setattr(bench.glob, "glob", lambda pattern: [])
+        else:
+            monkeypatch.setattr(bench, "_SET_BLAS_THREADS", "no_such_blas_symbol")
+        with caplog.at_level(logging.WARNING, logger="phasesplit.bench"):
+            assert bench.run_phase_transition(replace(cfg, workers=2)) == serial
+        assert len(caplog.records) == 1 and "OpenBLAS" in caplog.records[0].getMessage()
 
     def test_wf_solver_selectable(self):
         cfg = tiny_phase_config(algo="wf", grid=(6.0,), iterations=800)
@@ -303,6 +343,7 @@ class TestCli:
             ("phase-transition", "stop_tol=-1e-8\n", "stop_tol"),
             ("converge", "success_threshold=0\n", "success_threshold"),
             ("phase-transition", "d=16\ngrid=0.01,4\n", "round(grid * d) >= 1"),
+            ("converge", "seed=-2\n", "seed"),
         ],
     )
     def test_misleading_config_is_config_error(self, tmp_path, capsys, command, cfg_text, match):
@@ -311,6 +352,11 @@ class TestCli:
         assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and match in err
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        argv = ["converge", "--preset", "gaussian_gaussian", "--seed", "-1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: seed")
 
     def test_config_and_preset_are_exclusive(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
