@@ -12,7 +12,6 @@ from .core import (
     phase_dist,
     relative_error,
     rng_stream,
-    sample_gaussian,
 )
 from .measurement import (
     Ensemble,
@@ -46,9 +45,7 @@ from .solvers import (
     Schedules,
     SolveResult,
     SolverConfig,
-    SplitPoint,
     altmin_solve,
-    altmin_step,
     coupling_schedule,
     step_schedule,
     trace_to_csv,

@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 
-def _fd_directions(dim, count, complex_mode, rng):
+def _fd_directions(dim, complex_mode, rng):
     dirs = []
-    for _ in range(count):
+    for _ in range(20):
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
         dirs.append(v.astype(complex) if complex_mode else v)
@@ -46,18 +46,14 @@ def _fd_directions(dim, count, complex_mode, rng):
     return dirs
 
 
-def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, n_directions=20, rng=None,
-                      split_grad_fn=split_grad):
+def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, rng=None):
     """Max deviation between analytic and central-difference derivatives.
 
     ``kind`` selects the gradient under test: "split_x", "split_y" or "wf".
-    The split kinds take their gradients from ``split_grad_fn(e, x, y, b,
-    lam) -> (gx, gy)``, :func:`~phasesplit.objective.split_grad` by default,
-    so a substitute can be checked against the same loss. Directional
-    derivatives are compared along ``n_directions`` random real directions
-    (plus the same count of imaginary ones for complex signals); the
-    deviation is relative where the derivatives are O(1) or larger and
-    absolute near a critical point.
+    Directional derivatives are compared along 20 random real directions
+    (plus 20 imaginary ones for complex signals); the deviation is relative
+    where the derivatives are O(1) or larger and absolute near a critical
+    point.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -74,7 +70,7 @@ def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, n_directions=20, rng=N
         base = z
     elif kind in ("split_x", "split_y"):
         x, y = (np.asarray(point[0]), np.asarray(point[1]))
-        gx, gy = split_grad_fn(e, x, y, b, lam)
+        gx, gy = split_grad(e, x, y, b, lam)
         if kind == "split_x":
             grad, base = gx, x
 
@@ -92,7 +88,7 @@ def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, n_directions=20, rng=N
 
     complex_mode = np.iscomplexobj(base)
     worst = 0.0
-    for direction in _fd_directions(base.shape[0], n_directions, complex_mode, rng):
+    for direction in _fd_directions(base.shape[0], complex_mode, rng):
         numeric = (value(base + h * direction) - value(base - h * direction)) / (2.0 * h)
         analytic = float(np.real(np.vdot(grad, direction)))
         deviation = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
@@ -104,11 +100,11 @@ def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, n_directions=20, rng=N
 class FrameBoundReport:
     bound: float  # largest eigenvalue of F F^*
     worst_slack: float  # max over trials of lhs - bound*||u|| ||v|| (<= 0 when ok)
-    violations: int  # trials where the slack exceeded the tolerance
+    violations: int  # trials where the slack exceeded 1e-8
     equality_gap: float  # relative gap at the top eigenvector (tight case)
 
 
-def frame_bound_check(e, trials, rng=None, tol=1e-8):
+def frame_bound_check(e, trials, rng=None):
     """Check sum_n |f_n^* u||f_n^* v| <= C ||u|| ||v|| on random rank-one tests.
 
     C is the upper frame bound; the inequality is tight for u = v = top
@@ -129,7 +125,7 @@ def frame_bound_check(e, trials, rng=None, tol=1e-8):
         rhs = bound * float(np.linalg.norm(u) * np.linalg.norm(v))
         slack = lhs - rhs
         worst = max(worst, slack)
-        if slack > tol:
+        if slack > 1e-8:
             violations += 1
 
     tight_lhs = float(np.sum(np.abs(forward(e, top)) ** 2))  # ||top|| = 1
@@ -167,11 +163,6 @@ class SpeedupReport:
     N: int
     seed: int
     proximity: float
-
-    def to_json(self):
-        import json
-
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 def speedup_diagnostic(e, x0, perturbation, rng=None):
@@ -218,8 +209,8 @@ def speedup_diagnostic(e, x0, perturbation, rng=None):
     )
 
 
-def monotonicity_audit(trace, slack=1e-12):
-    """Scan objective values for an uptick beyond slack * (1 + |value|).
+def monotonicity_audit(trace):
+    """Scan objective values for an uptick beyond 1e-12 * (1 + |value|).
 
     Accepts a solve result or any sequence of objective values. Returns
     ``(ok, first_violation_index)`` with the index of the first offending
@@ -231,7 +222,7 @@ def monotonicity_audit(trace, slack=1e-12):
     else:
         values = list(trace)
     for i in range(1, len(values)):
-        allowed = values[i - 1] + slack * (1.0 + abs(values[i - 1]))
+        allowed = values[i - 1] + 1e-12 * (1.0 + abs(values[i - 1]))
         if values[i] > allowed:
             return False, i
     return True, None

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from . import analysis
+from . import analysis, signals
 from .core import best_phase, derive_seed, relative_error, rng_stream
 from .measurement import (
     cdp_ensemble,
@@ -32,7 +32,9 @@ from .measurement import (
     random_vector,
     upper_frame_bound,
 )
-from .objective import split_grad
+# split_grad is unused here but stays a module attribute: instrumentation
+# (phasebench/tracer.py) patches it in this namespace
+from .objective import split_grad  # noqa: F401
 from .signals import load_image, random_gaussian_signal, random_lowpass_signal, save_image, ImageChannels
 from .solvers import Schedules, SolverConfig, altmin_solve, wf_solve
 from .spectral import spectral_init
@@ -101,10 +103,10 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.success_threshold <= 0:
-            raise ValueError("success_threshold must be positive")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be >= 0")
+        if not (np.isfinite(self.success_threshold) and self.success_threshold > 0):
+            raise ValueError("success_threshold must be positive and finite")
+        if not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
+            raise ValueError("stop_tol must be >= 0 and finite")
         if len(self.grid) == 0 or any(not 0 < g < np.inf for g in self.grid):
             raise ValueError("grid values must be positive and finite")
         if list(self.grid) != sorted(set(self.grid)):
@@ -113,6 +115,9 @@ class ExperimentConfig:
             # the image experiment reads neither the grid nor a synthetic signal
             if self.signal == "image":
                 raise ValueError(f"{self.experiment} needs a synthetic signal (gaussian or lowpass)")
+            if self.iterations < 2:
+                raise ValueError(f"{self.experiment} runs iterations // 2 rounds, so iterations must be >= 2")
+            signals.check_signal_size(self.signal, self.d)
             if self.model == "cdp" and any(not float(g).is_integer() for g in self.grid):
                 raise ValueError("cdp grid values are mask counts and must be integers")
         if self.experiment == "phase_transition" and self.model != "cdp":
@@ -488,14 +493,9 @@ def _check_entry(name, value, threshold, ok):
     return {"name": name, "value": value, "threshold": threshold, "passed": bool(ok)}
 
 
-def run_checks(grad_override=None):
-    """Run every verification instrument; returns (ok, entries).
-
-    ``grad_override`` substitutes the split-gradient function under test and
-    exists so the suite can prove it catches an injected sign error.
-    """
+def run_checks():
+    """Run every verification instrument; returns (ok, entries)."""
     entries = []
-    grad_fn = grad_override if grad_override is not None else split_grad
 
     # gradient checks at a random point, real then complex
     for fieldname, bound in (("real", 1e-6), ("complex", 1e-5)):
@@ -509,7 +509,7 @@ def run_checks(grad_override=None):
             if kind == "wf":
                 dev = analysis.fd_gradient_check(kind, e, point[0], b, lam=0.0, rng=rng)
             else:
-                dev = analysis.fd_gradient_check(kind, e, point, b, lam=0.7, rng=rng, split_grad_fn=grad_fn)
+                dev = analysis.fd_gradient_check(kind, e, point, b, lam=0.7, rng=rng)
             worst = max(worst, dev)
         entries.append(_check_entry(f"gradient_{fieldname}", worst, bound, worst < bound))
 

@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "rng_stream",
     "derive_seed",
-    "sample_gaussian",
     "phase_dist",
     "best_phase",
     "relative_error",
@@ -33,23 +32,6 @@ def derive_seed(seed, *key):
     """Fold ``(seed, *key)`` into a single reproducible 64-bit child seed."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def sample_gaussian(rng, n, field="complex"):
-    """Draw ``n`` i.i.d. Gaussian entries.
-
-    ``field="complex"`` draws real and imaginary parts each with variance 1/2,
-    so E|z|^2 = 1; ``field="real"`` draws standard normals.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if field == "complex":
-        re = rng.standard_normal(n)
-        im = rng.standard_normal(n)
-        return (re + 1j * im) / np.sqrt(2.0)
-    if field == "real":
-        return rng.standard_normal(n)
-    raise ValueError(f"unknown field {field!r}")
 
 
 def _check_same_dim(x, y):

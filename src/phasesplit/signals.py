@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "signal_from_modes",
+    "check_signal_size",
     "random_lowpass_signal",
     "random_gaussian_signal",
     "ImageChannels",
@@ -41,21 +42,27 @@ def _mode_range(m):
     return np.arange(-(m // 2 - 1), m // 2 + 1)
 
 
+def check_signal_size(kind, d):
+    """Raise ValueError unless a ``kind`` ("gaussian" or "lowpass") signal can have length d."""
+    if kind == "lowpass" and d % 8 != 0:
+        raise ValueError(f"d must be divisible by 8, got {d}")
+    if kind == "lowpass" and (d // 8) % 2 != 0:
+        raise ValueError(f"d/8 must be even for a symmetric mode band, got d={d}")
+    if kind == "gaussian" and d % 2 != 0:
+        raise ValueError(f"d must be even, got {d}")
+
+
 def random_lowpass_signal(d, rng):
     """Band-limited signal with M = d/8 Gaussian modes, unit-variance parts."""
-    if d % 8 != 0:
-        raise ValueError(f"d must be divisible by 8, got {d}")
+    check_signal_size("lowpass", d)
     m = d // 8
-    if m % 2 != 0:
-        raise ValueError(f"d/8 must be even for a symmetric mode band, got d={d}")
     coeffs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return signal_from_modes(d, coeffs, _mode_range(m))
 
 
 def random_gaussian_signal(d, rng):
     """Full-band signal whose d mode coefficients have N(0, 1/8) parts."""
-    if d % 2 != 0:
-        raise ValueError(f"d must be even, got {d}")
+    check_signal_size("gaussian", d)
     sigma = np.sqrt(1.0 / 8.0)
     coeffs = sigma * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
     return signal_from_modes(d, coeffs, _mode_range(d))

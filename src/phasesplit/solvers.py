@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,24 +40,17 @@ from .objective import (
 )
 
 __all__ = [
-    "SplitPoint",
     "Schedules",
     "SolverConfig",
     "TraceRow",
     "SolveResult",
     "step_schedule",
     "coupling_schedule",
-    "altmin_step",
     "altmin_solve",
     "wf_solve",
     "trace_to_csv",
     "TRACE_CSV_HEADER",
 ]
-
-
-class SplitPoint(NamedTuple):
-    x: np.ndarray
-    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,6 +69,8 @@ class Schedules:
     step_scaling: str = "by_theta_squared"  # or "raw"
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.tau0, self.mu_max, self.lam0, self.lam_decay])):
+            raise ValueError("tau0, mu_max, lam0 and lam_decay must be finite")
         if self.tau0 <= 0 or self.mu_max <= 0:
             raise ValueError("tau0 and mu_max must be positive")
         if self.lam0 < 0 or self.lam_decay < 0:
@@ -134,9 +128,12 @@ def coupling_schedule(tau, lam0, lam_decay):
 
 
 def _step_scale(schedules, z0):
-    if schedules.step_scaling == "by_theta_squared":
-        return float(np.linalg.norm(z0) ** 2)
-    return 1.0
+    if schedules.step_scaling == "raw":
+        return 1.0
+    scale = float(np.linalg.norm(z0) ** 2)
+    if scale == 0.0:
+        raise ValueError("steps scale by ||z0||^2, so z0 must be nonzero")
+    return scale
 
 
 def _linesearch_step(sq_grad_norm, quad_form_value):
@@ -146,61 +143,32 @@ def _linesearch_step(sq_grad_norm, quad_form_value):
     return sq_grad_norm / (2.0 * quad_form_value)
 
 
-def _alt_round(e, b, x, y, res, lam, alpha=None, beta=None):
-    """One alternating round from (x, y), whose residuals ``res`` are cached.
-
-    The y-gradient is evaluated at the already-updated x. A step left as None
-    is chosen by exact line search on that block's quadratic. Costs 3 matvecs
-    (5 with line search). Returns the new x and y, forward(x) at the new x
-    (with forward(y) the caller rebuilds the residuals for the next
-    x-gradient), the x step and both gradients.
-    """
-    gx = split_grad_x(e, res, x, y, lam)
-    if alpha is None:
-        q = split_quad_form(e, y, gx, lam, f_anchor=res.fy)
-        alpha = _linesearch_step(float(np.linalg.norm(gx) ** 2), q)
-    x = x - alpha * gx
-    res = residuals(e, x, y, b, fx=forward(e, x), fy=res.fy)
-    gy = split_grad_y(e, res, x, y, lam)
-    if beta is None:
-        q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
-        beta = _linesearch_step(float(np.linalg.norm(gy) ** 2), q)
-    y = y - beta * gy
-    return x, y, res.fx, alpha, (gx, gy)
-
-
-def altmin_step(e, b, point, alpha, beta, lam):
-    """One alternating round from ``point`` with explicit step sizes.
-
-    The y-gradient is evaluated at the already-updated x.
-    """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("step sizes must be positive")
-    x, y = np.asarray(point[0]), np.asarray(point[1])
-    if x.shape != y.shape or x.shape[0] != e.d:
-        raise ValueError("split point does not match the ensemble dimension")
-    b = check_intensities(e, b)
-    x, y, _, _, _ = _alt_round(e, b, x, y, residuals(e, x, y, b), lam, alpha, beta)
-    return SplitPoint(x=x, y=y)
-
-
 def _alt_rounds(e, b, z, cfg, scale):
-    """Alternating rounds from x = y = z, in the form :func:`_solve` takes."""
+    """Alternating rounds from x = y = z (4 matvecs each, 6 with line search)."""
     sched = cfg.schedules
     x, y = z, z.copy()
     res = residuals(e, x, y, b)
     lam = coupling_schedule(1, sched.lam0, sched.lam_decay)
     yield TraceRow(0, 0, split_loss(e, x, y, b, lam, res=res), None, 0.0, lam, None)
-    alpha = beta = None  # exact line search
     for tau in itertools.count(1):
         lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
-        if cfg.mode == "fixed_schedule":
+        gx = split_grad_x(e, res, x, y, lam)
+        if cfg.mode == "exact_linesearch":
+            q = split_quad_form(e, y, gx, lam, f_anchor=res.fy)
+            alpha = _linesearch_step(float(np.linalg.norm(gx) ** 2), q)
+        else:
             # mu multiplies the Wirtinger derivative = gx / 2
             alpha = beta = step_schedule(tau, sched.tau0, sched.mu_max) / (2.0 * scale)
-        x, y, fx, mu, grads = _alt_round(e, b, x, y, res, lam, alpha, beta)
-        res = residuals(e, x, y, b, fx=fx, fy=forward(e, y))
+        x = x - alpha * gx
+        res = residuals(e, x, y, b, fx=forward(e, x), fy=res.fy)
+        gy = split_grad_y(e, res, x, y, lam)
+        if cfg.mode == "exact_linesearch":
+            q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
+            beta = _linesearch_step(float(np.linalg.norm(gy) ** 2), q)
+        y = y - beta * gy
+        res = residuals(e, x, y, b, fx=res.fx, fy=forward(e, y))
         value = split_loss(e, x, y, b, lam, res=res)
-        yield TraceRow(tau, tau, value, None, mu, lam, None), grads, (x, y, (x + y) / 2.0)
+        yield TraceRow(tau, tau, value, None, alpha, lam, None), (gx, gy), (x, y, (x + y) / 2.0)
 
 
 def _wf_rounds(e, b, z, cfg, scale):

@@ -28,7 +28,6 @@ __all__ = ["InitResult", "apply_spectral_matrix", "spectral_init"]
 class InitResult:
     z0: np.ndarray
     theta: float
-    power_iterations_used: int
     rayleigh_trace: np.ndarray
 
 
@@ -53,6 +52,5 @@ def spectral_init(e, b, iters=50, rng=None):
     return InitResult(
         z0=theta * v,
         theta=theta,
-        power_iterations_used=len(rayleigh),
         rayleigh_trace=np.array(rayleigh),
     )

@@ -176,15 +176,6 @@ class TestSpeedupDiagnostic:
 
         assert spread(16) <= spread(4) + 1e-12
 
-    def test_json_round_trip(self):
-        import json
-
-        e = gaussian_ensemble(16, 128, field="real", seed=18)
-        rep = speedup_diagnostic(e, rng_stream(18, 1).standard_normal(16), 1e-3)
-        decoded = json.loads(rep.to_json())
-        assert decoded["ratio"] == pytest.approx(rep.ratio)
-        assert decoded["d"] == 16 and decoded["N"] == 128
-
 
 class TestMonotonicityAudit:
     def test_clean_trace(self):

@@ -261,14 +261,16 @@ class TestChecks:
         assert len(entries) >= 10
         assert all(e["passed"] for e in entries)
 
-    def test_injected_sign_error_fails(self):
+    def test_injected_sign_error_fails(self, monkeypatch):
+        from phasesplit import analysis
         from phasesplit.objective import split_grad
 
         def flipped(e, x, y, b, lam):
             gx, gy = split_grad(e, x, y, b, lam)
             return -gx, gy
 
-        ok, entries = bench.run_checks(grad_override=flipped)
+        monkeypatch.setattr(analysis, "split_grad", flipped)
+        ok, entries = bench.run_checks()
         assert not ok
         failed = [e["name"] for e in entries if not e["passed"]]
         assert any(name.startswith("gradient") for name in failed)
@@ -344,6 +346,11 @@ class TestCli:
             ("converge", "success_threshold=0\n", "success_threshold"),
             ("phase-transition", "d=16\ngrid=0.01,4\n", "round(grid * d) >= 1"),
             ("converge", "seed=-2\n", "seed"),
+            ("converge", "d=15\n", "d must be even"),
+            ("phase-transition", "preset=gaussian_lowpass\nd=24\n", "d/8 must be even"),
+            ("phase-transition", "iterations=1\n", "iterations must be >= 2"),
+            ("phase-transition", "success_threshold=nan\n", "success_threshold"),
+            ("phase-transition", "alt_mu_max=nan\n", "finite"),
         ],
     )
     def test_misleading_config_is_config_error(self, tmp_path, capsys, command, cfg_text, match):
@@ -384,3 +391,19 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "image_report.csv").exists()
+
+
+class TestTracerTargets:
+    """The benchmark's tracer patches phasesplit names by getattr; a name it
+    lists that the package no longer has would break every traced run."""
+
+    def test_every_target_resolves(self):
+        import importlib.util
+        import pathlib
+
+        path = pathlib.Path(__file__).resolve().parent.parent / "phasebench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("phasebench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = [f"{module.__name__}.{attr}" for module, attr, _ in tracer.TARGETS if not hasattr(module, attr)]
+        assert not missing

@@ -8,7 +8,6 @@ from phasesplit.core import (
     phase_dist,
     relative_error,
     rng_stream,
-    sample_gaussian,
 )
 
 
@@ -88,29 +87,6 @@ class TestRelativeError:
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             relative_error(np.zeros(4), np.ones(4))
-
-
-class TestSampling:
-    def test_complex_moments(self):
-        z = sample_gaussian(rng_stream(10), 100_000)
-        assert abs(np.mean(z)) < 0.02
-        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.02)
-
-    def test_real_mode(self):
-        z = sample_gaussian(rng_stream(11), 100_000, field="real")
-        assert not np.iscomplexobj(z)
-        assert np.var(z) == pytest.approx(1.0, abs=0.02)
-
-    def test_determinism(self):
-        a = sample_gaussian(rng_stream(12), 64)
-        b = sample_gaussian(rng_stream(12), 64)
-        assert np.array_equal(a, b)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            sample_gaussian(rng_stream(0), 0)
-        with pytest.raises(ValueError):
-            sample_gaussian(rng_stream(0), 4, field="quaternion")
 
 
 class TestRngStreams:

@@ -323,7 +323,7 @@ class TestPowerIteration:
 
     def test_needs_one_iteration(self):
         with pytest.raises(ValueError, match="at least one"):
-            upper_frame_bound(gaussian_ensemble(4, 8), max_iter=0)
+            power_iteration(lambda u: u, np.ones(3), 0)
 
     def test_zero_map_keeps_last_iterate(self):
         rayleigh, v = power_iteration(lambda u: np.zeros_like(u), np.array([3.0, 4.0]), 5, tol=1e-10)

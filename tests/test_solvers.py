@@ -18,9 +18,7 @@ from phasesplit.signals import random_gaussian_signal
 from phasesplit.solvers import (
     Schedules,
     SolverConfig,
-    SplitPoint,
     altmin_solve,
-    altmin_step,
     coupling_schedule,
     step_schedule,
     trace_to_csv,
@@ -38,6 +36,16 @@ def instance(seed, d=32, oversampling=6):
     b = measure(e, x0)
     init = spectral_init(e, b, rng=rng_stream(seed, 2))
     return e, x0, b, init
+
+
+def one_round(e, b, z0, step, lam):
+    """One alternating round from x = y = z0 with both steps equal to ``step``.
+
+    A raw schedule with tau0 far below one round applies mu_max from the
+    first round on, and the x and y steps are mu_max / 2.
+    """
+    sched = Schedules(tau0=1e-9, mu_max=2.0 * step, lam0=lam, lam_decay=0.0, step_scaling="raw")
+    return altmin_solve(e, b, z0, SolverConfig(max_rounds=1, schedules=sched))
 
 
 class TestSchedules:
@@ -81,6 +89,14 @@ class TestSchedules:
     def test_coupling_nonincreasing(self, tau, gap, lam0, decay):
         assert coupling_schedule(tau + gap, lam0, decay) <= coupling_schedule(tau, lam0, decay)
 
+    @pytest.mark.parametrize("name", ["tau0", "mu_max", "lam0", "lam_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, name, value):
+        numbers = dict(tau0=1.0, mu_max=0.2, lam0=1.0, lam_decay=0.0)
+        numbers[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            Schedules(**numbers)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Schedules(tau0=0.0, mu_max=0.2)
@@ -95,47 +111,40 @@ class TestSchedules:
 
 
 class TestAltminStep:
+    """One alternating round, run as altmin_solve with max_rounds=1."""
+
     def test_fixed_point_at_truth(self):
         e, x0, b, _ = instance(1)
-        nxt = altmin_step(e, b, SplitPoint(x0, x0), 1e-4, 1e-4, 5.0)
+        res = one_round(e, b, x0, 1e-4, 5.0)
         scale = np.linalg.norm(x0)
-        assert phase_dist(nxt.x, x0) <= 1e-12 * scale
-        assert phase_dist(nxt.y, x0) <= 1e-12 * scale
+        assert phase_dist(res.x_final, x0) <= 1e-12 * scale
+        assert phase_dist(res.y_final, x0) <= 1e-12 * scale
 
     def test_descent_from_perturbed_point(self):
         e, x0, b, _ = instance(2)
-        delta = 1e-3 * rng_stream(2, 3).standard_normal(32)
-        point = SplitPoint(x0 + delta, x0.copy())
+        z0 = x0 + 1e-3 * rng_stream(2, 3).standard_normal(32)
         lam = 1.0
-        before = split_loss(e, point.x, point.y, b, lam)
-        nxt = altmin_step(e, b, point, 1e-5, 1e-5, lam)
-        after = split_loss(e, nxt.x, nxt.y, b, lam)
+        before = split_loss(e, z0, z0, b, lam)
+        res = one_round(e, b, z0, 1e-5, lam)
+        after = split_loss(e, res.x_final, res.y_final, b, lam)
         assert after < before
 
     def test_y_update_sees_new_x(self):
         # a deliberately wrong ordering (y-gradient at the stale x) must differ
         e, x0, b, _ = instance(3)
-        rng = rng_stream(3, 3)
-        point = SplitPoint(
-            x0 + 0.1 * rng.standard_normal(32), x0 + 0.1 * rng.standard_normal(32)
-        )
-        alpha = beta = 1e-4
+        z0 = x0 + 0.1 * rng_stream(3, 3).standard_normal(32)
+        step = 1e-4
         lam = 2.0
-        good = altmin_step(e, b, point, alpha, beta, lam)
+        res = one_round(e, b, z0, step, lam)
 
-        gx, gy_stale = split_grad(e, point.x, point.y, b, lam)
-        x_new = point.x - alpha * gx
-        y_wrong = point.y - beta * gy_stale
-        assert np.allclose(good.x, x_new, rtol=1e-12)
-        assert not np.allclose(good.y, y_wrong, rtol=1e-8)
+        gx, gy_stale = split_grad(e, z0, z0, b, lam)
+        x_new = z0 - step * gx
+        y_wrong = z0 - step * gy_stale
+        assert np.allclose(res.x_final, x_new, rtol=1e-12)
+        assert not np.allclose(res.y_final, y_wrong, rtol=1e-8)
 
-        _, gy_fresh = split_grad(e, x_new, point.y, b, lam)
-        assert np.allclose(good.y, point.y - beta * gy_fresh, rtol=1e-12)
-
-    def test_rejects_nonpositive_steps(self):
-        e, x0, b, _ = instance(4)
-        with pytest.raises(ValueError):
-            altmin_step(e, b, SplitPoint(x0, x0), 0.0, 1e-4, 0.0)
+        _, gy_fresh = split_grad(e, x_new, z0, b, lam)
+        assert np.allclose(res.y_final, z0 - step * gy_fresh, rtol=1e-12)
 
 
 class TestAltminSolve:
@@ -159,11 +168,14 @@ class TestAltminSolve:
         gamma = 1e-5
         sched = Schedules(tau0=1e-9, mu_max=gamma, lam0=lam, lam_decay=0.0, step_scaling="raw")
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=3, schedules=sched))
-        point = SplitPoint(init.z0.copy(), init.z0.copy())
+        x, y = init.z0.copy(), init.z0.copy()
         for _ in range(3):
-            point = altmin_step(e, b, point, gamma / 2.0, gamma / 2.0, lam)
-        assert np.allclose(res.x_final, point.x, rtol=1e-12)
-        assert np.allclose(res.y_final, point.y, rtol=1e-12)
+            gx, _ = split_grad(e, x, y, b, lam)
+            x = x - gamma / 2.0 * gx
+            _, gy = split_grad(e, x, y, b, lam)
+            y = y - gamma / 2.0 * gy
+        assert np.allclose(res.x_final, x, rtol=1e-12)
+        assert np.allclose(res.y_final, y, rtol=1e-12)
 
     def test_global_phase_equivariance(self):
         e, x0, b, init = instance(8)
@@ -321,13 +333,6 @@ class TestCostModel:
         # the difference cancels the forwards at the starting point
         assert matvecs(7) - matvecs(2) == 5 * per_round
 
-    @pytest.mark.parametrize("kind", ["gaussian", "cdp"])
-    def test_altmin_step_costs_five(self, calls, kind):
-        # two forwards at the start, then adjoint, forward(x), adjoint
-        e, b, init = self._instance(kind)
-        altmin_step(e, b, SplitPoint(init.z0, init.z0), 1e-4, 1e-4, 5.0)
-        assert calls[0] == 5
-
 
 _CONTRACT_E = gaussian_ensemble(8, 48, seed=21)
 _CONTRACT_X = random_gaussian_signal(8, rng_stream(21, 1))
@@ -348,6 +353,17 @@ def _with_entry(index, value):
     b = _CONTRACT_B.copy()
     b[index % b.size] = value
     return b
+
+
+class TestZeroStart:
+    """A zero start leaves the ||z0||^2 step scale undefined: an error, not a divergence."""
+
+    @pytest.mark.parametrize("solve", [altmin_solve, wf_solve], ids=["alt", "wf"])
+    @pytest.mark.parametrize("mode", ["fixed_schedule", "exact_linesearch"])
+    def test_rejected_under_theta_scaling(self, solve, mode):
+        cfg = SolverConfig(max_rounds=2, schedules=ALT, mode=mode)
+        with pytest.raises(ValueError, match="nonzero"):
+            solve(_CONTRACT_E, _CONTRACT_B, np.zeros(8), cfg)
 
 
 class TestInputContract:

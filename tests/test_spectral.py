@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from phasesplit.core import phase_dist, relative_error, rng_stream, sample_gaussian
-from phasesplit.measurement import Ensemble, gaussian_ensemble, measure
+from phasesplit.core import phase_dist, relative_error, rng_stream
+from phasesplit.measurement import Ensemble, gaussian_ensemble, measure, random_vector
 from phasesplit.spectral import apply_spectral_matrix, spectral_init
 
 
@@ -45,13 +45,13 @@ class TestSpectralInit:
 
     def test_norm_matches_theta(self):
         e = gaussian_ensemble(16, 96, seed=4)
-        x0 = sample_gaussian(rng_stream(4, 1), 16)
+        x0 = random_vector(e, rng_stream(4, 1)) / np.sqrt(2.0)
         init = spectral_init(e, measure(e, x0), rng=rng_stream(4, 2))
         assert np.linalg.norm(init.z0) == pytest.approx(init.theta, rel=1e-10)
 
     def test_theta_concentrates_for_unit_signal(self):
         e = gaussian_ensemble(16, 10_000, seed=5)
-        x0 = sample_gaussian(rng_stream(5, 1), 16)
+        x0 = random_vector(e, rng_stream(5, 1)) / np.sqrt(2.0)
         x0 /= np.linalg.norm(x0)
         init = spectral_init(e, measure(e, x0), rng=rng_stream(5, 2))
         assert 0.95 <= init.theta <= 1.05
@@ -62,11 +62,11 @@ class TestSpectralInit:
         for seed in range(20):
             e = gaussian_ensemble(d, 6 * d, seed=seed)
             rng = rng_stream(6, seed)
-            x0 = sample_gaussian(rng, d)
+            x0 = random_vector(e, rng) / np.sqrt(2.0)
             x0 /= np.linalg.norm(x0)
             init = spectral_init(e, measure(e, x0), iters=50, rng=rng)
             guess = init.z0 / np.linalg.norm(init.z0)
-            baseline = sample_gaussian(rng, d)
+            baseline = random_vector(e, rng) / np.sqrt(2.0)
             baseline /= np.linalg.norm(baseline)
             err_init = relative_error(x0, guess)
             err_rand = relative_error(x0, baseline)
@@ -75,7 +75,7 @@ class TestSpectralInit:
 
     def test_rayleigh_trace_nondecreasing(self):
         e = gaussian_ensemble(32, 192, seed=7)
-        x0 = sample_gaussian(rng_stream(7, 1), 32)
+        x0 = random_vector(e, rng_stream(7, 1)) / np.sqrt(2.0)
         x0 /= np.linalg.norm(x0)
         init = spectral_init(e, measure(e, x0), iters=60, rng=rng_stream(7, 2))
         trace = init.rayleigh_trace
@@ -84,7 +84,7 @@ class TestSpectralInit:
     def test_direction_stable_under_more_iterations(self):
         # heavily oversampled: the top eigenvalue is well separated
         e = gaussian_ensemble(16, 10_000, seed=8)
-        x0 = sample_gaussian(rng_stream(8, 1), 16)
+        x0 = random_vector(e, rng_stream(8, 1)) / np.sqrt(2.0)
         x0 /= np.linalg.norm(x0)
         b = measure(e, x0)
         a = spectral_init(e, b, iters=50, rng=rng_stream(8, 2))
