@@ -18,8 +18,6 @@ from .measurement import (
     adjoint,
     cdp_ensemble,
     dense_frame,
-    ensemble_from_text,
-    ensemble_to_text,
     forward,
     gaussian_ensemble,
     measure,

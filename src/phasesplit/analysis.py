@@ -159,9 +159,6 @@ class SpeedupReport:
     predicted_E_decrease: float  # split objective, one optimally-sized x-step
     predicted_G_decrease: float  # quartic objective, one optimally-sized step
     ratio: float  # G decrease over E decrease, ~2/3 when x ~ y
-    d: int
-    N: int
-    seed: int
     proximity: float
 
 
@@ -202,9 +199,6 @@ def speedup_diagnostic(e, x0, perturbation, rng=None):
         predicted_E_decrease=dec_split,
         predicted_G_decrease=dec_flow,
         ratio=dec_flow / dec_split,
-        d=e.d,
-        N=e.N,
-        seed=e.seed,
         proximity=float(np.linalg.norm(delta) / np.linalg.norm(x0)),
     )
 
@@ -217,8 +211,7 @@ def monotonicity_audit(trace):
     entry, or ``(True, None)`` for a clean trace.
     """
     if hasattr(trace, "trace"):
-        rows = trace.trace
-        values = [row.E if row.E is not None else row.G for row in rows]
+        values = [row.objective for row in trace.trace]
     else:
         values = list(trace)
     for i in range(1, len(values)):

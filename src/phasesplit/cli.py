@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import bench
-from .signals import gradient_image, save_image
+from .signals import gradient_image, load_image, save_image
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -62,6 +62,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        if args.command == "image" and cfg.image_path:
+            load_image(cfg.image_path)  # a missing or malformed image is bad input too
     except (ValueError, OSError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

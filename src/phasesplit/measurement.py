@@ -30,8 +30,6 @@ __all__ = [
     "power_iteration",
     "frame_top_eigenpair",
     "upper_frame_bound",
-    "ensemble_to_text",
-    "ensemble_from_text",
 ]
 
 _SQRT_HALF = np.sqrt(2.0) / 2.0
@@ -256,37 +254,3 @@ def upper_frame_bound(e):
     """Largest eigenvalue of F F^* (the optimal frame constant)."""
     value, _ = frame_top_eigenpair(e)
     return value
-
-
-_TEXT_HEADER = "phasesplit-ensemble v1"
-
-
-def ensemble_to_text(e):
-    """Serialize as re-derivable text: kind, sizes and seed, never the payload."""
-    lines = [_TEXT_HEADER, f"kind={e.kind}", f"d={e.d}"]
-    if e.kind == "cdp":
-        lines.append(f"L={e.L}")
-    else:
-        lines.append(f"N={e.N}")
-    lines.append(f"seed={e.seed}")
-    return "\n".join(lines) + "\n"
-
-
-def ensemble_from_text(text):
-    """Rebuild an ensemble from :func:`ensemble_to_text` output."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0] != _TEXT_HEADER:
-        raise ValueError("not a serialized ensemble")
-    fields = {}
-    for ln in lines[1:]:
-        key, _, val = ln.partition("=")
-        fields[key] = val
-    kind = fields["kind"]
-    d = int(fields["d"])
-    seed = int(fields["seed"])
-    if kind == "cdp":
-        return cdp_ensemble(d, int(fields["L"]), seed=seed)
-    if kind in ("gaussian_complex", "gaussian_real"):
-        field = "complex" if kind == "gaussian_complex" else "real"
-        return gaussian_ensemble(d, int(fields["N"]), field=field, seed=seed)
-    raise ValueError(f"unknown ensemble kind {kind!r}")

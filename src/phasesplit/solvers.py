@@ -87,20 +87,19 @@ class SolverConfig:
     stop_tolerance: float | None = None  # None: always run the full budget
 
     def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        if not isinstance(self.max_rounds, (int, np.integer)) or self.max_rounds < 1:
+            raise ValueError("max_rounds must be an integer >= 1")
         if self.mode not in ("fixed_schedule", "exact_linesearch"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.stop_tolerance is not None and self.stop_tolerance < 0:
-            raise ValueError("stop_tolerance must be nonnegative")
+        tol = self.stop_tolerance
+        if tol is not None and not (np.isfinite(tol) and tol >= 0):
+            raise ValueError("stop_tolerance must be nonnegative and finite")
 
 
 @dataclass
 class TraceRow:
     round: int
-    tau: int
-    E: float | None  # split objective (alternating runs)
-    G: float | None  # quartic objective (flow runs)
+    objective: float  # split loss E(x, y) on alternating runs, quartic loss G(z) on flow runs
     mu: float  # step size actually applied to the x (or flow) update
     lam: float
     rel_error: float | None
@@ -149,7 +148,7 @@ def _alt_rounds(e, b, z, cfg, scale):
     x, y = z, z.copy()
     res = residuals(e, x, y, b)
     lam = coupling_schedule(1, sched.lam0, sched.lam_decay)
-    yield TraceRow(0, 0, split_loss(e, x, y, b, lam, res=res), None, 0.0, lam, None)
+    yield TraceRow(0, split_loss(e, x, y, b, lam, res=res), 0.0, lam, None)
     for tau in itertools.count(1):
         lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
         gx = split_grad_x(e, res, x, y, lam)
@@ -168,14 +167,14 @@ def _alt_rounds(e, b, z, cfg, scale):
         y = y - beta * gy
         res = residuals(e, x, y, b, fx=res.fx, fy=forward(e, y))
         value = split_loss(e, x, y, b, lam, res=res)
-        yield TraceRow(tau, tau, value, None, alpha, lam, None), (gx, gy), (x, y, (x + y) / 2.0)
+        yield TraceRow(tau, value, alpha, lam, None), (gx, gy), (x, y, (x + y) / 2.0)
 
 
 def _wf_rounds(e, b, z, cfg, scale):
     """Flow iterations from z (2 matvecs each, 3 with line search)."""
     sched = cfg.schedules
     fz = forward(e, z)
-    yield TraceRow(0, 0, None, wf_loss(e, z, b, fz=fz), 0.0, 0.0, None)
+    yield TraceRow(0, wf_loss(e, z, b, fz=fz), 0.0, 0.0, None)
     for tau in itertools.count(1):
         g = wf_grad(e, z, b, fz=fz)
         if cfg.mode == "exact_linesearch":
@@ -186,7 +185,7 @@ def _wf_rounds(e, b, z, cfg, scale):
             delta = step_schedule(tau, sched.tau0, sched.mu_max) / (4.0 * scale)
         z = z - delta * g
         fz = forward(e, z)
-        yield TraceRow(tau, tau, None, wf_loss(e, z, b, fz=fz), delta, 0.0, None), (g,), (z, z, z)
+        yield TraceRow(tau, wf_loss(e, z, b, fz=fz), delta, 0.0, None), (g,), (z, z, z)
 
 
 def _solve(e, b, z0, cfg, truth, rounds):
@@ -220,7 +219,7 @@ def _solve(e, b, z0, cfg, truth, rounds):
     with np.errstate(over="ignore", invalid="ignore"):
         for tau, (row, grads, (x, y, z)) in zip(range(1, cfg.max_rounds + 1), steps):
             rounds_used = tau
-            if not np.isfinite(row.G if row.E is None else row.E):
+            if not np.isfinite(row.objective):
                 diverged = True
                 break
             row.rel_error = rel(z)
@@ -265,7 +264,7 @@ def wf_solve(e, b, z0, cfg, truth=None):
     return _solve(e, b, z0, cfg, truth, _wf_rounds)
 
 
-TRACE_CSV_HEADER = "round,tau,E,G,mu,lambda,rel_error"
+TRACE_CSV_HEADER = "round,objective,mu,lambda,rel_error"
 
 
 def _fmt(value):
@@ -279,7 +278,6 @@ def trace_to_csv(result):
     lines = [TRACE_CSV_HEADER]
     for row in result.trace:
         lines.append(
-            f"{row.round},{row.tau},{_fmt(row.E)},{_fmt(row.G)},"
-            f"{_fmt(row.mu)},{_fmt(row.lam)},{_fmt(row.rel_error)}"
+            f"{row.round},{_fmt(row.objective)},{_fmt(row.mu)},{_fmt(row.lam)},{_fmt(row.rel_error)}"
         )
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from phasesplit.measurement import (
     gaussian_ensemble,
     measure,
 )
-from phasesplit.solvers import Schedules, SolverConfig, altmin_solve
+from phasesplit.solvers import Schedules, SolverConfig, altmin_solve, wf_solve
 from phasesplit.spectral import spectral_init
 
 
@@ -203,3 +203,6 @@ class TestMonotonicityAudit:
         )
         ok, idx = monotonicity_audit(res)
         assert ok, f"uptick at {idx}"
+        flow = wf_solve(e, b, init.z0, SolverConfig(max_rounds=500, schedules=sched, mode="exact_linesearch"))
+        ok, idx = monotonicity_audit(flow)
+        assert ok, f"flow uptick at {idx}"

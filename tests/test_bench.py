@@ -351,12 +351,28 @@ class TestCli:
             ("phase-transition", "iterations=1\n", "iterations must be >= 2"),
             ("phase-transition", "success_threshold=nan\n", "success_threshold"),
             ("phase-transition", "alt_mu_max=nan\n", "finite"),
+            ("converge", "model=gaussian_real\n", "unknown model"),
+            ("image", "preset=image_small\nimage_rounds=20,20\n", "strictly increasing"),
+            ("image", "preset=image_small\nimage_rounds=20,10\n", "strictly increasing"),
         ],
     )
     def test_misleading_config_is_config_error(self, tmp_path, capsys, command, cfg_text, match):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(cfg_text)
         assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and match in err
+
+    @pytest.mark.parametrize("data, match", [
+        (None, "No such file"),
+        (b"P5\n4 4\n255\n\x00\x01", "truncated"),
+    ])
+    def test_bad_image_is_config_error(self, tmp_path, capsys, data, match):
+        path = tmp_path / "bad.pgm"
+        if data is not None:
+            path.write_bytes(data)
+        argv = ["image", "--preset", "image_small", "--image", str(path), "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and match in err
 

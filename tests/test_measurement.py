@@ -15,8 +15,6 @@ from phasesplit.measurement import (
     adjoint,
     cdp_ensemble,
     dense_frame,
-    ensemble_from_text,
-    ensemble_to_text,
     forward,
     gaussian_ensemble,
     measure,
@@ -346,23 +344,3 @@ class TestRandomVector:
         else:
             expected = b.standard_normal(e.d)
         assert np.array_equal(random_vector(e, a), expected)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("make", [
-        lambda: gaussian_ensemble(6, 20, field="complex", seed=21),
-        lambda: gaussian_ensemble(6, 20, field="real", seed=22),
-        lambda: cdp_ensemble(6, 3, seed=23),
-    ])
-    def test_round_trip(self, make):
-        e = make()
-        clone = ensemble_from_text(ensemble_to_text(e))
-        assert clone.kind == e.kind and clone.d == e.d and clone.N == e.N
-        payload, clone_payload = (
-            (e.masks, clone.masks) if e.kind == "cdp" else (e.frame, clone.frame)
-        )
-        assert np.array_equal(payload, clone_payload)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            ensemble_from_text("not an ensemble\nkind=cdp\n")

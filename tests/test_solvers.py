@@ -109,6 +109,15 @@ class TestSchedules:
         with pytest.raises(ValueError):
             SolverConfig(max_rounds=5, schedules=WF, mode="newton")
 
+    @pytest.mark.parametrize("bad", [
+        dict(max_rounds=2.5),
+        dict(max_rounds=5, stop_tolerance=float("nan")),
+        dict(max_rounds=5, stop_tolerance=float("inf")),
+    ])
+    def test_solver_config_rejects(self, bad):
+        with pytest.raises(ValueError, match="max_rounds|stop_tolerance"):
+            SolverConfig(schedules=WF, **bad)
+
 
 class TestAltminStep:
     """One alternating round, run as altmin_solve with max_rounds=1."""
@@ -217,7 +226,7 @@ class TestAltminSolve:
         wild = Schedules(tau0=1e-9, mu_max=10.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=200, schedules=wild))
         assert res.diverged and not res.converged
-        assert all(np.isfinite(row.E) for row in res.trace)
+        assert all(np.isfinite(row.objective) for row in res.trace)
 
     def test_rank_deficient_frame_warns(self):
         e = gaussian_ensemble(16, 8, seed=12)
@@ -247,7 +256,6 @@ class TestWfSolve:
         res = wf_solve(e, b, init.z0, SolverConfig(max_rounds=37, schedules=WF), truth=x0)
         assert res.rounds_used == 37
         assert len(res.trace) == 38  # row 0 plus one per iteration
-        assert all(row.G is not None and row.E is None for row in res.trace)
 
     def test_estimates_are_aliased(self):
         e, x0, b, init = instance(16)
@@ -258,8 +266,29 @@ class TestWfSolve:
         e, x0, b, init = instance(17)
         cfg = SolverConfig(max_rounds=50, schedules=WF, mode="exact_linesearch")
         res = wf_solve(e, b, init.z0, cfg, truth=x0)
-        values = [row.G for row in res.trace]
+        values = [row.objective for row in res.trace]
         assert values[-1] < values[0]
+
+
+class TestTraceRounds:
+    """trace[i] is round i: rows are indexed by position, not by a column."""
+
+    @pytest.mark.parametrize("solve, sched", [(altmin_solve, ALT), (wf_solve, WF)])
+    @pytest.mark.parametrize("run", ["full", "early_stop", "diverged"])
+    def test_row_index_is_round(self, solve, sched, run):
+        e, x0, b, init = instance(20)
+        if run == "full":
+            cfg = SolverConfig(max_rounds=30, schedules=sched)
+        elif run == "early_stop":
+            cfg = SolverConfig(max_rounds=2000, schedules=sched, mode="exact_linesearch", stop_tolerance=1e-6)
+        else:
+            sched = Schedules(tau0=1e-9, mu_max=10.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
+            cfg = SolverConfig(max_rounds=200, schedules=sched)
+        res = solve(e, b, init.z0, cfg, truth=x0)
+        assert (run == "early_stop") == res.converged and (run == "diverged") == res.diverged
+        assert [row.round for row in res.trace] == list(range(len(res.trace)))
+        # a diverged round is not recorded
+        assert len(res.trace) == res.rounds_used + (0 if res.diverged else 1)
 
 
 class TestTraceCsv:
@@ -270,11 +299,8 @@ class TestTraceCsv:
         text2 = trace_to_csv(altmin_solve(e, b, init.z0, cfg, truth=x0))
         assert text1 == text2
         lines = text1.strip().splitlines()
-        assert lines[0] == "round,tau,E,G,mu,lambda,rel_error"
+        assert lines[0] == "round,objective,mu,lambda,rel_error"
         assert len(lines) == 14  # header + round 0 + 12 rounds
-        # alternating runs leave the G column empty, rel_error populated
-        first = lines[1].split(",")
-        assert first[3] == "" and first[6] != ""
 
     def test_unknown_truth_leaves_rel_error_empty(self):
         e, x0, b, init = instance(19)
