@@ -1,9 +1,10 @@
 """Command-line entry points for the benchmark harness.
 
 Subcommands: phase-transition, converge, image, check. Experiments are
-configured by a flat key=value file or a named preset; --seed and
---trials override the config. Results land in --out as CSV/JSON (and
-recovered images for the image experiment).
+configured by a flat key=value file or a named preset; --seed overrides the
+config, as do --trials for phase-transition and --image for image. check
+takes only --out. Results land in --out as CSV/JSON (and recovered images
+for the image experiment).
 """
 
 from __future__ import annotations
@@ -30,12 +31,15 @@ def _build_parser():
         ("check", "run every verification instrument; nonzero exit on failure"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", default=".", help="output directory (default: current)")
+        if name == "check":
+            continue
         source = p.add_mutually_exclusive_group()
         source.add_argument("--config", help="key=value config file")
         source.add_argument("--preset", choices=sorted(bench.PRESETS), help="named built-in config")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--trials", type=int, help="override the config trial count")
-        p.add_argument("--out", default=".", help="output directory (default: current)")
+        if name == "phase-transition":
+            p.add_argument("--trials", type=int, help="override the config trial count")
         if name == "image":
             p.add_argument("--image", help="override the config image path")
     return parser
@@ -51,7 +55,7 @@ def _load_config(args):
     updates = {"experiment": args.command.replace("-", "_")}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         updates["trials"] = args.trials
     if getattr(args, "image", None):
         updates["image_path"] = args.image
@@ -61,7 +65,7 @@ def _load_config(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg = None if args.command == "check" else _load_config(args)
         if args.command == "image" and cfg.image_path:
             load_image(cfg.image_path)  # a missing or malformed image is bad input too
     except (ValueError, OSError, KeyError) as exc:

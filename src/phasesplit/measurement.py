@@ -27,7 +27,6 @@ __all__ = [
     "dense_frame",
     "sum_column_norms_sq",
     "random_vector",
-    "power_iteration",
     "frame_top_eigenpair",
     "upper_frame_bound",
 ]
@@ -214,40 +213,21 @@ def random_vector(e, rng):
     return rng.standard_normal(e.d)
 
 
-def power_iteration(apply, v, iters, tol=None):
-    """Power iteration ``v -> apply(v) / ||apply(v)||`` from ``v``, normalized first.
-
-    Returns the Rayleigh quotients v^* apply(v), one per application, and
-    the last unit iterate. Stops when ``apply(v)`` vanishes (its quotient is
-    then 0 and ``v`` is kept) or, when ``tol`` is given, once the quotient
-    changes by at most ``tol`` relative to itself.
-    """
-    if iters < 1:
-        raise ValueError("need at least one power iteration")
-    v = v / np.linalg.norm(v)
-    rayleigh = []
-    for _ in range(iters):
-        w = apply(v)
-        rayleigh.append(float(np.real(np.vdot(v, w))))
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            break
-        v = w / nrm
-        if tol is not None and len(rayleigh) > 1:
-            if abs(rayleigh[-1] - rayleigh[-2]) <= tol * max(abs(rayleigh[-1]), 1e-300):
-                break
-    return rayleigh, v
-
-
 def frame_top_eigenpair(e):
-    """Largest eigenvalue of F F^* and a unit eigenvector, by power iteration.
+    """Largest eigenvalue of F F^* and a unit eigenvector, in closed form.
 
-    Iterates v -> adjoint(forward(v)) matrix-free, at most 10 000 times,
-    until the Rayleigh quotient stalls to relative tolerance 1e-10.
+    CDP blocks are unnormalized DFTs, so F F^* = d diag(sum_p |g_p|^2) and the
+    top eigenvector is a standard basis vector; Gaussian frames take the top
+    eigenpair of the d x d matrix F F^*.
     """
-    start = random_vector(e, rng_stream(0, 0xB0))
-    rayleigh, v = power_iteration(lambda u: adjoint(e, forward(e, u)), start, 10_000, 1e-10)
-    return rayleigh[-1], v
+    if e.kind == "cdp":
+        diagonal = e.d * np.sum(np.abs(e.masks) ** 2, axis=0)
+        t = int(np.argmax(diagonal))
+        top = np.zeros(e.d, dtype=complex)
+        top[t] = 1.0
+        return float(diagonal[t]), top
+    values, vectors = np.linalg.eigh(e.frame @ e.frame.conj().T)
+    return float(values[-1]), vectors[:, -1]
 
 
 def upper_frame_bound(e):

@@ -196,13 +196,17 @@ def _solve(e, b, z0, cfg, truth, rounds):
     reached; rows come without their error, which is filled in here.
     """
     b = check_intensities(e, b)
+    z0 = np.asarray(z0)
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("z0 must be finite")
+    if truth is not None and not np.all(np.isfinite(truth)):
+        raise ValueError("truth must be finite")
     if e.maybe_rank_deficient:
         warnings.warn(
             f"frame has N={e.N} < d={e.d}; the split loss is not coercive "
             "for rank-deficient frames and the solver may not converge",
             stacklevel=3,
         )
-    z0 = np.asarray(z0)
     z = z0.astype(complex if e.is_complex else float, copy=True)
     steps = rounds(e, b, z, cfg, _step_scale(cfg.schedules, z0))
 

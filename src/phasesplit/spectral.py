@@ -12,16 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import rng_stream
-from .measurement import (
-    adjoint,
-    check_intensities,
-    forward,
-    power_iteration,
-    random_vector,
-    sum_column_norms_sq,
-)
+from .measurement import adjoint, check_intensities, forward, random_vector, sum_column_norms_sq
 
-__all__ = ["InitResult", "apply_spectral_matrix", "spectral_init"]
+__all__ = ["InitResult", "apply_spectral_matrix", "power_iteration", "spectral_init"]
 
 
 @dataclass
@@ -34,6 +27,27 @@ class InitResult:
 def apply_spectral_matrix(e, b, v):
     """Matrix-free Y v = (1/N) sum_n b_n f_n (f_n^* v)."""
     return adjoint(e, b * forward(e, v)) / e.N
+
+
+def power_iteration(apply, v, iters):
+    """Power iteration ``v -> apply(v) / ||apply(v)||`` from ``v``, normalized first.
+
+    Returns the Rayleigh quotients v^* apply(v), one per application, and
+    the last unit iterate. Stops early when ``apply(v)`` vanishes: its
+    quotient is then 0 and ``v`` is kept.
+    """
+    if not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise ValueError("need an integer count of at least one power iteration")
+    v = v / np.linalg.norm(v)
+    rayleigh = []
+    for _ in range(iters):
+        w = apply(v)
+        rayleigh.append(float(np.real(np.vdot(v, w))))
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0:
+            break
+        v = w / nrm
+    return rayleigh, v
 
 
 def spectral_init(e, b, iters=50, rng=None):

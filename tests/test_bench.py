@@ -331,7 +331,24 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("experiment=warp\n")
-        assert cli.main(["check", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert cli.main(["converge", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--seed", "5"],
+            ["check", "--trials", "3"],
+            ["check", "--preset", "cdp_gaussian"],
+            ["check", "--config", "run.cfg"],
+            ["converge", "--trials", "7"],
+            ["image", "--trials", "7"],
+        ],
+    )
+    def test_ignored_options_are_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, cfg_text, match",

@@ -18,7 +18,6 @@ from phasesplit.measurement import (
     forward,
     gaussian_ensemble,
     measure,
-    power_iteration,
     random_vector,
     sum_column_norms_sq,
     upper_frame_bound,
@@ -286,9 +285,26 @@ class TestFrameBound:
         assert upper_frame_bound(e) == pytest.approx(2.0, rel=1e-9)
 
     def test_matches_dense_eigensolver(self):
-        e = gaussian_ensemble(8, 32, seed=17)
-        dense = np.linalg.eigvalsh(e.frame @ e.frame.conj().T)[-1]
-        assert upper_frame_bound(e) == pytest.approx(dense, rel=1e-8)
+        for e in (gaussian_ensemble(8, 32, seed=17), cdp_ensemble(16, 5, seed=17)):
+            frame = dense_frame(e)
+            dense = np.linalg.eigvalsh(frame @ frame.conj().T)[-1]
+            assert upper_frame_bound(e) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            gaussian_ensemble(16, 64, seed=1009),
+            gaussian_ensemble(128, 576, seed=3),
+            gaussian_ensemble(20, 80, field="real", seed=4),
+            cdp_ensemble(64, 14, seed=1),
+        ],
+        ids=["gate9", "complex_128x576", "real", "cdp"],
+    )
+    def test_bounds_forward_at_dense_top_eigenvector(self, e):
+        # C must not undershoot: ||F^* v||^2 = lambda_max at the top eigenvector
+        frame = dense_frame(e)
+        top = np.linalg.eigh(frame @ frame.conj().T)[1][:, -1]
+        assert np.linalg.norm(forward(e, top)) ** 2 <= upper_frame_bound(e) * (1 + 1e-12)
 
     def test_bounds_forward_norm(self):
         e = cdp_ensemble(16, 3, seed=18)
@@ -302,31 +318,6 @@ class TestFrameBound:
         e = cdp_ensemble(8, 3, seed=19)
         dense = dense_frame(e)
         assert sum_column_norms_sq(e) == pytest.approx(np.sum(np.abs(dense) ** 2), rel=1e-12)
-
-
-class TestPowerIteration:
-    def test_fixed_count(self):
-        m = np.diag([3.0, 1.0, 0.5])
-        rayleigh, v = power_iteration(lambda u: m @ u, np.ones(3), 7)
-        assert len(rayleigh) == 7
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert rayleigh[-1] == pytest.approx(3.0, rel=1e-3)
-
-    def test_stops_when_quotient_stalls(self):
-        m = np.diag([3.0, 1.0, 0.5])
-        rayleigh, v = power_iteration(lambda u: m @ u, np.ones(3), 10_000, tol=1e-12)
-        assert 2 <= len(rayleigh) < 10_000
-        assert abs(rayleigh[-1] - rayleigh[-2]) <= 1e-12 * rayleigh[-1]
-        assert abs(v[0]) == pytest.approx(1.0)
-
-    def test_needs_one_iteration(self):
-        with pytest.raises(ValueError, match="at least one"):
-            power_iteration(lambda u: u, np.ones(3), 0)
-
-    def test_zero_map_keeps_last_iterate(self):
-        rayleigh, v = power_iteration(lambda u: np.zeros_like(u), np.array([3.0, 4.0]), 5, tol=1e-10)
-        assert rayleigh == [0.0]
-        assert np.array_equal(v, [0.6, 0.8])
 
 
 class TestRandomVector:

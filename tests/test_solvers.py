@@ -392,6 +392,29 @@ class TestZeroStart:
             solve(_CONTRACT_E, _CONTRACT_B, np.zeros(8), cfg)
 
 
+class TestNonfiniteStartOrTruth:
+    """A NaN or infinite start or truth is bad input, not a divergence."""
+
+    @pytest.mark.parametrize("solve", [altmin_solve, wf_solve], ids=["alt", "wf"])
+    @pytest.mark.parametrize("mode", ["fixed_schedule", "exact_linesearch"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_start_rejected(self, solve, mode, value):
+        z0 = _CONTRACT_X.copy()
+        z0[3] = value
+        cfg = SolverConfig(max_rounds=2, schedules=ALT, mode=mode)
+        with pytest.raises(ValueError, match="z0 must be finite"):
+            solve(_CONTRACT_E, _CONTRACT_B, z0, cfg)
+
+    @pytest.mark.parametrize("solve", [altmin_solve, wf_solve], ids=["alt", "wf"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_truth_rejected(self, solve, value):
+        truth = _CONTRACT_X.copy()
+        truth[0] = value
+        cfg = SolverConfig(max_rounds=2, schedules=ALT, stop_tolerance=1e-6)
+        with pytest.raises(ValueError, match="truth must be finite"):
+            solve(_CONTRACT_E, _CONTRACT_B, _CONTRACT_X, cfg, truth=truth)
+
+
 class TestInputContract:
     """Malformed intensities are rejected at the public boundary."""
 

@@ -3,7 +3,7 @@ import pytest
 
 from phasesplit.core import phase_dist, relative_error, rng_stream
 from phasesplit.measurement import Ensemble, gaussian_ensemble, measure, random_vector
-from phasesplit.spectral import apply_spectral_matrix, spectral_init
+from phasesplit.spectral import apply_spectral_matrix, power_iteration, spectral_init
 
 
 def single_column_ensemble():
@@ -34,6 +34,24 @@ class TestApplySpectralMatrix:
         ) / 40
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert np.allclose(apply_spectral_matrix(e, b, v), Y @ v, rtol=1e-10)
+
+
+class TestPowerIteration:
+    def test_fixed_count(self):
+        m = np.diag([3.0, 1.0, 0.5])
+        rayleigh, v = power_iteration(lambda u: m @ u, np.ones(3), 7)
+        assert len(rayleigh) == 7
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert rayleigh[-1] == pytest.approx(3.0, rel=1e-3)
+
+    def test_needs_one_iteration(self):
+        with pytest.raises(ValueError, match="at least one"):
+            power_iteration(lambda u: u, np.ones(3), 0)
+
+    def test_zero_map_keeps_last_iterate(self):
+        rayleigh, v = power_iteration(lambda u: np.zeros_like(u), np.array([3.0, 4.0]), 5)
+        assert rayleigh == [0.0]
+        assert np.array_equal(v, [0.6, 0.8])
 
 
 class TestSpectralInit:
@@ -108,3 +126,9 @@ class TestSpectralInit:
         e = gaussian_ensemble(4, 12, seed=11)
         with pytest.raises(ValueError):
             spectral_init(e, np.ones(12), iters=0, rng=rng_stream(11))
+
+    @pytest.mark.parametrize("iters", [2.5, 3.0, "3"])
+    def test_rejects_non_integer_iterations(self, iters):
+        e = gaussian_ensemble(4, 12, seed=11)
+        with pytest.raises(ValueError, match="integer"):
+            spectral_init(e, np.ones(12), iters=iters, rng=rng_stream(11))
