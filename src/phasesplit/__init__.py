@@ -45,6 +45,7 @@ from .solvers import (
     SolverConfig,
     altmin_solve,
     coupling_schedule,
+    fixed_step,
     step_schedule,
     trace_to_csv,
     wf_solve,

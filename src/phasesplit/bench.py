@@ -23,6 +23,8 @@ import numpy as np
 from . import analysis, signals
 from .core import best_phase, derive_seed, relative_error, rng_stream
 from .measurement import (
+    CDP_ATOM_PROBS,
+    CDP_ATOMS,
     cdp_ensemble,
     dense_frame,
     forward,
@@ -36,7 +38,7 @@ from .measurement import (
 # (phasebench/tracer.py) patches it in this namespace
 from .objective import split_grad  # noqa: F401
 from .signals import load_image, random_gaussian_signal, random_lowpass_signal, save_image, ImageChannels
-from .solvers import Schedules, SolverConfig, altmin_solve, wf_solve
+from .solvers import Schedules, SolverConfig, altmin_solve, fixed_step, wf_solve
 from .spectral import spectral_init
 
 log = logging.getLogger(__name__)
@@ -551,8 +553,8 @@ def run_checks():
     b = measure(e, x0)
     init = spectral_init(e, b, rng=rng_stream(106, 2))
     lam = 1.0
-    curv = (upper_frame_bound(e) / e.N) * float(np.max(np.abs(forward(e, init.z0)) ** 2)) + lam
-    fixed = Schedules(tau0=1e-9, mu_max=1.0 / (3.0 * curv), lam0=lam, lam_decay=0.0, step_scaling="raw")
+    step = fixed_step(e, init.z0, lam)
+    fixed = Schedules(tau0=1e-9, mu_max=step, lam0=lam, lam_decay=0.0, step_scaling="raw")
     res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=300, schedules=fixed), truth=x0)
     ok_fixed, idx = analysis.monotonicity_audit(res)
     entries.append(_check_entry("monotone_fixed_step", -1 if idx is None else idx, -1, ok_fixed))
@@ -573,8 +575,6 @@ def run_checks():
 
     # mask atom statistics
     masks = cdp_ensemble(1000, 100, seed=107).masks.ravel()
-    from .measurement import CDP_ATOMS, CDP_ATOM_PROBS
-
     freq_dev = max(
         abs(float(np.mean(np.isclose(masks, atom))) - p)
         for atom, p in zip(CDP_ATOMS, CDP_ATOM_PROBS)

@@ -119,37 +119,38 @@ def _check_signal(e, v):
     return v
 
 
-def forward(e, v):
-    """Inner products f_n^* v for all n (length N, complex).
+def forward(e, v, out=None):
+    """Inner products f_n^* v for all n (length N, complex), into ``out`` if given.
 
     CDP path: block p is the unnormalized DFT of conj(g_p) . v, so the whole
     map costs O(L d log d).
     """
     v = _check_signal(e, v)
     if e.kind == "cdp":
-        return np.fft.fft(np.conj(e.masks) * v[None, :], axis=1).ravel()
+        blocks = None if out is None else out.reshape(e.L, e.d)
+        return np.fft.fft(np.conj(e.masks) * v[None, :], axis=1, out=blocks).ravel()
     if e.frame.dtype.kind != "c":
-        return e.frame.T @ v
+        return np.matmul(e.frame.T, v, out)
     # conj(F^T conj(v)) runs the gemv of F^* v on sign-flipped inputs, so its
     # bytes equal those of F^* v while reading the one frame adjoint reads: a
     # second d x N copy would double the working set. The imaginary part is
     # negated as 0 - t, not -t, so an exact zero stays +0 as in F^* v. Real
     # frames skip this form, which would turn a +0 imaginary part into -0.
-    out = e.frame.T @ v.conj()
+    out = np.matmul(e.frame.T, v.conj(), out)
     imag = out.imag
-    np.subtract(0.0, imag, out=imag)
+    np.subtract(0.0, imag, imag)
     return out
 
 
-def adjoint(e, w):
-    """Sum_n w_n f_n, the adjoint of :func:`forward`."""
+def adjoint(e, w, out=None):
+    """Sum_n w_n f_n, the adjoint of :func:`forward`, into ``out`` if given."""
     w = np.asarray(w)
     if w.ndim != 1 or w.shape[0] != e.N:
         raise ValueError(f"weight vector of shape {w.shape} does not match N={e.N}")
     if e.kind == "cdp":
         blocks = w.reshape(e.L, e.d)
-        return (e.masks * (e.d * np.fft.ifft(blocks, axis=1))).sum(axis=0)
-    return e.frame @ w
+        return (e.masks * (e.d * np.fft.ifft(blocks, axis=1))).sum(axis=0, out=out)
+    return np.matmul(e.frame, w, out)
 
 
 def measure(e, x, noise_std=0.0, rng=None):

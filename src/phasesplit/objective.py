@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import l2_norm
 from .measurement import adjoint, forward
 
 __all__ = [
     "Residuals",
     "residuals",
+    "wf_residuals",
     "split_loss",
     "split_grad",
     "split_grad_x",
@@ -32,11 +34,17 @@ __all__ = [
 
 @dataclass
 class Residuals:
-    """Cached forward products and the bilinear residual at a split point."""
+    """Forward products and the residual at a point, plus scratch arrays that the
+    formulas reading them write into (None: numpy allocates; a solve allocates all once).
+    Those formulas pass ufunc outputs positionally: an out= keyword costs ~0.2 us a call."""
 
-    r: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
+    r: np.ndarray | None
+    fx: np.ndarray | None
+    fy: np.ndarray | None
+    weights: np.ndarray | None = None  # N: a gradient's adjoint input
+    sq: np.ndarray | None = None  # N, real: the squared terms of a loss
+    sq2: np.ndarray | None = None
+    diff: np.ndarray | None = None  # d: a difference of the split iterates
 
 
 def _check_pair(x, y):
@@ -55,14 +63,24 @@ def _check_lam(lam):
     return lam
 
 
-def residuals(e, x, y, b, fx=None, fy=None):
-    """r_n = conj(f_n^* x) (f_n^* y) - b_n with the forwards cached."""
+def residuals(e, x, y, b, fx=None, fy=None, out=None):
+    """r_n = conj(f_n^* x) (f_n^* y) - b_n with the forwards cached; refills ``out``."""
     x, y = _check_pair(x, y)
-    if fx is None:
-        fx = forward(e, x)
-    if fy is None:
-        fy = forward(e, y)
-    return Residuals(r=np.conj(fx) * fy - b, fx=fx, fy=fy)
+    res = Residuals(None, None, None) if out is None else out
+    res.fx = forward(e, x, res.fx) if fx is None else fx
+    res.fy = forward(e, y, res.fy) if fy is None else fy
+    r = res.r = np.conj(res.fx, res.r)
+    np.subtract(np.multiply(r, res.fy, r), b, r)
+    return res
+
+
+def wf_residuals(e, z, b, out=None):
+    """r_n = |f_n^* z|^2 - b_n with fx = fy = f^* z, read by wf_loss and wf_grad."""
+    res = Residuals(None, None, None) if out is None else out
+    res.fx = res.fy = fz = forward(e, z, res.fx)
+    r = res.r = np.square(fz.real, res.r)
+    np.subtract(np.add(r, np.square(fz.imag, res.sq), r), b, r)
+    return res
 
 
 def split_loss(e, x, y, b, lam, res=None):
@@ -71,18 +89,27 @@ def split_loss(e, x, y, b, lam, res=None):
     x, y = _check_pair(x, y)
     if res is None:
         res = residuals(e, x, y, b)
-    data = float(np.sum(res.r.real**2 + res.r.imag**2)) / e.N
-    return data + lam * float(np.linalg.norm(x - y) ** 2)
+    sq = np.square(res.r.real, res.sq)
+    data = float(np.add(sq, np.square(res.r.imag, res.sq2), sq).sum()) / e.N
+    return data + lam * l2_norm(np.subtract(x, y, res.diff)) ** 2
 
 
-def split_grad_x(e, res, x, y, lam):
+def _block_grad(e, res, weights, a, c, lam, out):
+    # (2/N) F weights + (2 lam)(a - c), one operation at a time in this order
+    g = np.multiply(2.0 / e.N, adjoint(e, weights, out), out)
+    diff = np.multiply(2.0 * lam, np.subtract(a, c, res.diff), res.diff)
+    return np.add(g, diff, g)
+
+
+def split_grad_x(e, res, x, y, lam, out=None):
     """Gradient of the split loss in x at fixed y, from cached residuals."""
-    return (2.0 / e.N) * adjoint(e, np.conj(res.r) * res.fy) + (2.0 * lam) * (x - y)
+    weights = np.multiply(np.conj(res.r, res.weights), res.fy, res.weights)
+    return _block_grad(e, res, weights, x, y, lam, out)
 
 
-def split_grad_y(e, res, x, y, lam):
+def split_grad_y(e, res, x, y, lam, out=None):
     """Gradient of the split loss in y at fixed x, from cached residuals."""
-    return (2.0 / e.N) * adjoint(e, res.r * res.fx) + (2.0 * lam) * (y - x)
+    return _block_grad(e, res, np.multiply(res.r, res.fx, res.weights), y, x, lam, out)
 
 
 def split_grad(e, x, y, b, lam):
@@ -93,20 +120,16 @@ def split_grad(e, x, y, b, lam):
     return split_grad_x(e, res, x, y, lam), split_grad_y(e, res, x, y, lam)
 
 
-def wf_loss(e, z, b, fz=None):
+def wf_loss(e, z, b, res=None):
     """(1/N) sum_n (|f_n^* z|^2 - b_n)^2."""
-    if fz is None:
-        fz = forward(e, z)
-    r = fz.real**2 + fz.imag**2 - b
-    return float(np.sum(r * r)) / e.N
+    res = wf_residuals(e, z, b) if res is None else res
+    return float(np.multiply(res.r, res.r, res.sq).sum()) / e.N
 
 
-def wf_grad(e, z, b, fz=None):
+def wf_grad(e, z, b, res=None, out=None):
     """(4/N) sum_n (|f_n^* z|^2 - b_n) f_n (f_n^* z)."""
-    if fz is None:
-        fz = forward(e, z)
-    r = fz.real**2 + fz.imag**2 - b
-    return (4.0 / e.N) * adjoint(e, r * fz)
+    res = wf_residuals(e, z, b) if res is None else res
+    return np.multiply(4.0 / e.N, adjoint(e, np.multiply(res.r, res.fx, res.weights), out), out)
 
 
 def split_quad_form(e, anchor, v, lam, f_anchor=None):
@@ -120,9 +143,9 @@ def split_quad_form(e, anchor, v, lam, f_anchor=None):
     if f_anchor is None:
         f_anchor = forward(e, anchor)
     fv = forward(e, v)
-    val = float(np.sum((f_anchor.real**2 + f_anchor.imag**2) * (fv.real**2 + fv.imag**2))) / e.N
+    val = float(((f_anchor.real**2 + f_anchor.imag**2) * (fv.real**2 + fv.imag**2)).sum()) / e.N
     if lam != 0.0:
-        val += lam * float(np.linalg.norm(v) ** 2)
+        val += lam * l2_norm(v) ** 2
     return val
 
 
@@ -139,6 +162,6 @@ def wf_quad_form(e, z, v, fz=None):
     fv = forward(e, v)
     abs_fz2 = fz.real**2 + fz.imag**2
     abs_fv2 = fv.real**2 + fv.imag**2
-    h11 = 4.0 * float(np.sum(abs_fz2 * abs_fv2))
-    h21 = 2.0 * float(np.sum((np.conj(fz) ** 2 * fv**2).real))
+    h11 = 4.0 * float((abs_fz2 * abs_fv2).sum())
+    h21 = 2.0 * float((np.conj(fz) ** 2 * fv**2).real.sum())
     return (h11 + h21) / e.N

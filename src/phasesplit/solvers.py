@@ -19,16 +19,18 @@ choice since the step is computed for the ray actually used.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import relative_error
+from .core import l2_norm, relative_error
 # adjoint is unused here but stays a module attribute: instrumentation
 # (phasebench/tracer.py) patches forward and adjoint in every namespace
-from .measurement import adjoint, check_intensities, forward  # noqa: F401
+from .measurement import adjoint, check_intensities, forward, upper_frame_bound  # noqa: F401
 from .objective import (
+    Residuals,
     residuals,
     split_grad_x,
     split_grad_y,
@@ -37,6 +39,7 @@ from .objective import (
     wf_grad,
     wf_loss,
     wf_quad_form,
+    wf_residuals,
 )
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "SolveResult",
     "step_schedule",
     "coupling_schedule",
+    "fixed_step",
     "altmin_solve",
     "wf_solve",
     "trace_to_csv",
@@ -126,10 +130,20 @@ def coupling_schedule(tau, lam0, lam_decay):
     return lam0 * np.exp(-lam_decay * tau)
 
 
+def fixed_step(e, z0, lam):
+    """The constant step 1/(3 ((C/N) max_n |f_n^* z0|^2 + lam)).
+
+    C is the upper frame bound. Alternating rounds at this step with the
+    coupling held at ``lam`` decrease the split loss monotonically from z0.
+    """
+    curvature = (upper_frame_bound(e) / e.N) * float(np.max(np.abs(forward(e, z0)) ** 2)) + lam
+    return 1.0 / (3.0 * curvature)
+
+
 def _step_scale(schedules, z0):
     if schedules.step_scaling == "raw":
         return 1.0
-    scale = float(np.linalg.norm(z0) ** 2)
+    scale = l2_norm(z0) ** 2
     if scale == 0.0:
         raise ValueError("steps scale by ||z0||^2, so z0 must be nonzero")
     return scale
@@ -146,46 +160,52 @@ def _alt_rounds(e, b, z, cfg, scale):
     """Alternating rounds from x = y = z (4 matvecs each, 6 with line search)."""
     sched = cfg.schedules
     x, y = z, z.copy()
-    res = residuals(e, x, y, b)
+    gx, gy, update, mid, diff = (np.empty_like(z) for _ in range(5))
+    r, fx, fy, weights = (np.empty(e.N, z.dtype) for _ in range(4))
+    b = b.astype(z.dtype)  # cast once here rather than by every r - b: the same values
+    res = residuals(e, x, y, b, out=Residuals(r, fx, fy, weights, np.empty(e.N), np.empty(e.N), diff))
     lam = coupling_schedule(1, sched.lam0, sched.lam_decay)
     yield TraceRow(0, split_loss(e, x, y, b, lam, res=res), 0.0, lam, None)
     for tau in itertools.count(1):
         lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
-        gx = split_grad_x(e, res, x, y, lam)
+        split_grad_x(e, res, x, y, lam, out=gx)
         if cfg.mode == "exact_linesearch":
             q = split_quad_form(e, y, gx, lam, f_anchor=res.fy)
-            alpha = _linesearch_step(float(np.linalg.norm(gx) ** 2), q)
+            alpha = _linesearch_step(l2_norm(gx) ** 2, q)
         else:
             # mu multiplies the Wirtinger derivative = gx / 2
             alpha = beta = step_schedule(tau, sched.tau0, sched.mu_max) / (2.0 * scale)
-        x = x - alpha * gx
-        res = residuals(e, x, y, b, fx=forward(e, x), fy=res.fy)
-        gy = split_grad_y(e, res, x, y, lam)
+        np.subtract(x, np.multiply(alpha, gx, update), x)
+        residuals(e, x, y, b, fy=res.fy, out=res)
+        split_grad_y(e, res, x, y, lam, out=gy)
         if cfg.mode == "exact_linesearch":
             q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
-            beta = _linesearch_step(float(np.linalg.norm(gy) ** 2), q)
-        y = y - beta * gy
-        res = residuals(e, x, y, b, fx=res.fx, fy=forward(e, y))
+            beta = _linesearch_step(l2_norm(gy) ** 2, q)
+        np.subtract(y, np.multiply(beta, gy, update), y)
+        residuals(e, x, y, b, fx=res.fx, out=res)
         value = split_loss(e, x, y, b, lam, res=res)
-        yield TraceRow(tau, value, alpha, lam, None), (gx, gy), (x, y, (x + y) / 2.0)
+        np.divide(np.add(x, y, mid), 2.0, mid)
+        yield TraceRow(tau, value, alpha, lam, None), (gx, gy), (x, y, mid)
 
 
 def _wf_rounds(e, b, z, cfg, scale):
     """Flow iterations from z (2 matvecs each, 3 with line search)."""
     sched = cfg.schedules
-    fz = forward(e, z)
-    yield TraceRow(0, wf_loss(e, z, b, fz=fz), 0.0, 0.0, None)
+    g, update = np.empty_like(z), np.empty_like(z)
+    res = Residuals(np.empty(e.N), np.empty(e.N, z.dtype), None, np.empty(e.N, z.dtype), np.empty(e.N))
+    wf_residuals(e, z, b, out=res)
+    yield TraceRow(0, wf_loss(e, z, b, res=res), 0.0, 0.0, None)
     for tau in itertools.count(1):
-        g = wf_grad(e, z, b, fz=fz)
+        wf_grad(e, z, b, res=res, out=g)
         if cfg.mode == "exact_linesearch":
             # step ||g||^2 / q, the minimizer of the flow's curvature model along g
-            delta = _linesearch_step(float(np.linalg.norm(g) ** 2), wf_quad_form(e, z, g, fz=fz) / 2.0)
+            delta = _linesearch_step(l2_norm(g) ** 2, wf_quad_form(e, z, g, fz=res.fx) / 2.0)
         else:
             # mu multiplies the reference-convention derivative = g / 4
             delta = step_schedule(tau, sched.tau0, sched.mu_max) / (4.0 * scale)
-        z = z - delta * g
-        fz = forward(e, z)
-        yield TraceRow(tau, wf_loss(e, z, b, fz=fz), delta, 0.0, None), (g,), (z, z, z)
+        np.subtract(z, np.multiply(delta, g, update), z)
+        wf_residuals(e, z, b, out=res)
+        yield TraceRow(tau, wf_loss(e, z, b, res=res), delta, 0.0, None), (g,), (z, z, z)
 
 
 def _solve(e, b, z0, cfg, truth, rounds):
@@ -201,13 +221,15 @@ def _solve(e, b, z0, cfg, truth, rounds):
         raise ValueError("z0 must be finite")
     if truth is not None and not np.all(np.isfinite(truth)):
         raise ValueError("truth must be finite")
+    if not e.is_complex and np.any(np.imag(z0)):
+        raise ValueError("z0 has a nonzero imaginary part, but the frame is real")
     if e.maybe_rank_deficient:
         warnings.warn(
             f"frame has N={e.N} < d={e.d}; the split loss is not coercive "
             "for rank-deficient frames and the solver may not converge",
             stacklevel=3,
         )
-    z = z0.astype(complex if e.is_complex else float, copy=True)
+    z = (z0 if e.is_complex else z0.real).astype(complex if e.is_complex else float, copy=True)
     steps = rounds(e, b, z, cfg, _step_scale(cfg.schedules, z0))
 
     def rel(zv):
@@ -223,7 +245,7 @@ def _solve(e, b, z0, cfg, truth, rounds):
     with np.errstate(over="ignore", invalid="ignore"):
         for tau, (row, grads, (x, y, z)) in zip(range(1, cfg.max_rounds + 1), steps):
             rounds_used = tau
-            if not np.isfinite(row.objective):
+            if not math.isfinite(row.objective):
                 diverged = True
                 break
             row.rel_error = rel(z)
@@ -234,7 +256,7 @@ def _solve(e, b, z0, cfg, truth, rounds):
                     if row.rel_error <= cfg.stop_tolerance:
                         converged = True
                         break
-                elif max(np.linalg.norm(g) for g in grads) <= cfg.stop_tolerance:
+                elif max(l2_norm(g) for g in grads) <= cfg.stop_tolerance:
                     converged = True
                     break
 

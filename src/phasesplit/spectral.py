@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import rng_stream
+from .core import l2_norm, rng_stream
 from .measurement import adjoint, check_intensities, forward, random_vector, sum_column_norms_sq
 
 __all__ = ["InitResult", "apply_spectral_matrix", "power_iteration", "spectral_init"]
@@ -38,12 +38,12 @@ def power_iteration(apply, v, iters):
     """
     if not isinstance(iters, (int, np.integer)) or iters < 1:
         raise ValueError("need an integer count of at least one power iteration")
-    v = v / np.linalg.norm(v)
+    v = v / l2_norm(v)
     rayleigh = []
     for _ in range(iters):
         w = apply(v)
         rayleigh.append(float(np.real(np.vdot(v, w))))
-        nrm = np.linalg.norm(w)
+        nrm = l2_norm(w)
         if nrm == 0.0:
             break
         v = w / nrm

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phasesplit.core import (
     derive_seed,
+    l2_norm,
     phase_dist,
     relative_error,
     rng_stream,
@@ -87,6 +89,54 @@ class TestRelativeError:
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             relative_error(np.zeros(4), np.ones(4))
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two vectors of one length: real, complex or integer, contiguous or
+    strided (every other entry of a longer array)."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["real", "complex", "integer"]))
+    strided = draw(st.booleans())
+    size = 2 * n if strided else n
+
+    def one():
+        if kind == "integer":
+            return draw(hnp.arrays(np.int64, size, elements=st.integers(-1000, 1000)))
+        parts = hnp.arrays(np.float64, size, elements=st.floats(-1e3, 1e3, allow_subnormal=False))
+        v = draw(parts)
+        return v + 1j * draw(parts) if kind == "complex" else v
+
+    x, y = one(), one()
+    return (x[::2], y[::2]) if strided else (x, y)
+
+
+class TestBitwiseNorms:
+    """l2_norm and relative_error give np.linalg.norm's bits."""
+
+    @staticmethod
+    def reference_relative_error(x, y):
+        ip = np.vdot(y, x)
+        c = 1.0 + 0.0j if abs(ip) == 0.0 else ip / abs(ip)
+        return np.linalg.norm(x - c * y) / np.linalg.norm(x)
+
+    @given(_vector_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_relative_error_matches_linalg_norm(self, pair):
+        x, y = pair
+        if np.linalg.norm(x) == 0.0:  # also when the squares underflow
+            with pytest.raises(ValueError, match="nonzero"):
+                relative_error(x, y)
+            return
+        assert relative_error(x, y) == self.reference_relative_error(x, y)
+        assert l2_norm(x) == np.linalg.norm(x) and l2_norm(y) == np.linalg.norm(y)
+
+    @pytest.mark.parametrize("dtype", [float, complex, np.int64])
+    def test_zero_inner_product(self, dtype):
+        x = np.array([3, 0, 0, 0], dtype=dtype)
+        y = np.array([0, 2, 0, 5], dtype=dtype)
+        assert np.vdot(y, x) == 0
+        assert relative_error(x, y) == self.reference_relative_error(x, y)
 
 
 class TestRngStreams:

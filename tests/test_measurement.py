@@ -81,6 +81,23 @@ class TestCdpMasks:
 
 
 class TestForwardAdjoint:
+    @pytest.mark.parametrize("make", [
+        lambda: gaussian_ensemble(16, 40, seed=8),
+        lambda: gaussian_ensemble(16, 40, field="real", seed=8),
+        lambda: cdp_ensemble(16, 3, seed=8),
+    ], ids=["gaussian_complex", "gaussian_real", "cdp"])
+    def test_out_gives_the_same_bytes_in_place(self, make):
+        e = make()
+        rng = rng_stream(8, 1)
+        v, w = random_vector(e, rng), rng.standard_normal(e.N) + 1j * rng.standard_normal(e.N)
+        if not e.is_complex:
+            w = w.real.copy()
+        for op, arg, n in ((forward, v, e.N), (adjoint, w, e.d)):
+            expected = op(e, arg)
+            buf = np.full(n, np.nan, dtype=expected.dtype)
+            got = op(e, arg, out=buf)
+            assert np.shares_memory(got, buf) and _same_bytes(buf, expected)
+
     def test_identity_frame_copies(self):
         e = identity_ensemble(4)
         v = np.array([1.0, -2.0, 0.5, 3.0])

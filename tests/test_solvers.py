@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +16,26 @@ from phasesplit.measurement import (
     measure,
     upper_frame_bound,
 )
-from phasesplit.objective import split_grad, split_loss, split_quad_form
+from phasesplit.objective import (
+    residuals,
+    split_grad,
+    split_grad_x,
+    split_grad_y,
+    split_loss,
+    split_quad_form,
+    wf_grad,
+    wf_loss,
+    wf_quad_form,
+)
 from phasesplit.signals import random_gaussian_signal
 from phasesplit.solvers import (
     Schedules,
+    SolveResult,
     SolverConfig,
+    TraceRow,
     altmin_solve,
     coupling_schedule,
+    fixed_step,
     step_schedule,
     trace_to_csv,
     wf_solve,
@@ -211,11 +227,8 @@ class TestAltminSolve:
     def test_fixed_step_fixed_coupling_monotone(self):
         e, x0, b, init = instance(10)
         lam = 1.0
-        curv = (upper_frame_bound(e) / e.N) * float(
-            np.max(np.abs(forward(e, init.z0)) ** 2)
-        ) + lam
         sched = Schedules(
-            tau0=1e-9, mu_max=1.0 / (3.0 * curv), lam0=lam, lam_decay=0.0, step_scaling="raw"
+            tau0=1e-9, mu_max=fixed_step(e, init.z0, lam), lam0=lam, lam_decay=0.0, step_scaling="raw"
         )
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=300, schedules=sched))
         ok, idx = monotonicity_audit(res)
@@ -243,6 +256,21 @@ class TestAltminSolve:
         res = altmin_solve(e, b, init.z0, cfg)
         assert res.converged
         assert res.rounds_used < 2000
+
+
+class TestFixedStep:
+    def test_matches_gate_4_formula(self):
+        # gate 4's instance and its written-out step (tests/test_acceptance.py)
+        d = 32
+        e = gaussian_ensemble(d, 6 * d, seed=1006)
+        x0 = random_gaussian_signal(d, rng_stream(1006, 1))
+        b = measure(e, x0)
+        init = spectral_init(e, b, rng=rng_stream(1006, 2))
+        lam = 1.0
+        curvature = (upper_frame_bound(e) / e.N) * float(
+            np.max(np.abs(forward(e, init.z0)) ** 2)
+        ) + lam
+        assert fixed_step(e, init.z0, lam) == 1.0 / (3.0 * curvature)
 
 
 class TestWfSolve:
@@ -307,6 +335,185 @@ class TestTraceCsv:
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=3, schedules=ALT))
         rows = trace_to_csv(res).strip().splitlines()[1:]
         assert all(r.endswith(",") for r in rows)
+
+
+def _reference_alt_rounds(e, b, z, cfg, scale):
+    """The alternating round as written before its buffers: fresh arrays
+    for every result and np.linalg.norm for the line-search norms."""
+    sched = cfg.schedules
+    x, y = z, z.copy()
+    res = residuals(e, x, y, b)
+    lam = coupling_schedule(1, sched.lam0, sched.lam_decay)
+    yield TraceRow(0, split_loss(e, x, y, b, lam, res=res), 0.0, lam, None)
+    for tau in itertools.count(1):
+        lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
+        gx = split_grad_x(e, res, x, y, lam)
+        if cfg.mode == "exact_linesearch":
+            q = split_quad_form(e, y, gx, lam, f_anchor=res.fy)
+            alpha = solvers._linesearch_step(float(np.linalg.norm(gx) ** 2), q)
+        else:
+            alpha = beta = step_schedule(tau, sched.tau0, sched.mu_max) / (2.0 * scale)
+        x = x - alpha * gx
+        res = residuals(e, x, y, b, fx=forward(e, x), fy=res.fy)
+        gy = split_grad_y(e, res, x, y, lam)
+        if cfg.mode == "exact_linesearch":
+            q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
+            beta = solvers._linesearch_step(float(np.linalg.norm(gy) ** 2), q)
+        y = y - beta * gy
+        res = residuals(e, x, y, b, fx=res.fx, fy=forward(e, y))
+        value = split_loss(e, x, y, b, lam, res=res)
+        yield TraceRow(tau, value, alpha, lam, None), (gx, gy), (x, y, (x + y) / 2.0)
+
+
+def _reference_wf_rounds(e, b, z, cfg, scale):
+    """The flow iteration as written before: the residual is recomputed by
+    both the loss and the gradient, each from its own forward."""
+    sched = cfg.schedules
+    yield TraceRow(0, wf_loss(e, z, b), 0.0, 0.0, None)
+    for tau in itertools.count(1):
+        g = wf_grad(e, z, b)
+        if cfg.mode == "exact_linesearch":
+            q = wf_quad_form(e, z, g) / 2.0
+            delta = solvers._linesearch_step(float(np.linalg.norm(g) ** 2), q)
+        else:
+            delta = step_schedule(tau, sched.tau0, sched.mu_max) / (4.0 * scale)
+        z = z - delta * g
+        yield TraceRow(tau, wf_loss(e, z, b), delta, 0.0, None), (g,), (z, z, z)
+
+
+def _reference_relative_error(x, y):
+    ip = np.vdot(y, x)
+    c = 1.0 + 0.0j if abs(ip) == 0.0 else ip / abs(ip)
+    return float(np.linalg.norm(x - c * y)) / float(np.linalg.norm(x))
+
+
+def _reference_solve(e, b, z0, cfg, truth, rounds):
+    """The shared loop as written before, on np.linalg.norm throughout."""
+    sched = cfg.schedules
+    scale = 1.0 if sched.step_scaling == "raw" else float(np.linalg.norm(z0) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        z = np.asarray(z0).astype(complex if e.is_complex else float, copy=True)
+    steps = rounds(e, b, z, cfg, scale)
+
+    def rel(v):
+        return None if truth is None else _reference_relative_error(truth, v)
+
+    trace = [next(steps)]
+    trace[0].rel_error = rel(z0)
+    converged = diverged = False
+    rounds_used = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tau, (row, grads, (x, y, z)) in zip(range(1, cfg.max_rounds + 1), steps):
+            rounds_used = tau
+            if not np.isfinite(row.objective):
+                diverged = True
+                break
+            row.rel_error = rel(z)
+            trace.append(row)
+            if cfg.stop_tolerance is not None:
+                if truth is not None:
+                    if row.rel_error <= cfg.stop_tolerance:
+                        converged = True
+                        break
+                elif max(np.linalg.norm(g) for g in grads) <= cfg.stop_tolerance:
+                    converged = True
+                    break
+    return SolveResult(x, y, z, trace, converged, rounds_used, diverged)
+
+
+def _frame_instance(frame, seed=30, d=16):
+    e = {
+        "gaussian_complex": lambda: gaussian_ensemble(d, 6 * d, seed=seed),
+        "gaussian_real": lambda: gaussian_ensemble(d, 6 * d, field="real", seed=seed),
+        "cdp": lambda: cdp_ensemble(d, 6, seed=seed),
+    }[frame]()
+    x0 = random_gaussian_signal(d, rng_stream(seed, 1))
+    if not e.is_complex:
+        x0 = x0.real.copy()
+    b = measure(e, x0)
+    return e, x0, b, spectral_init(e, b, rng=rng_stream(seed, 2)).z0
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_result(got, want):
+    # compares row by row: pytest's diff of two long unequal strings takes minutes
+    rows, expected = trace_to_csv(got).splitlines(), trace_to_csv(want).splitlines()
+    first = next((i for i, (a, b) in enumerate(zip(rows, expected)) if a != b), None)
+    assert first is None and len(rows) == len(expected), f"traces differ from row {first}"
+    assert [type(row.objective) for row in got.trace] == [type(row.objective) for row in want.trace]
+    for a, b in ((got.x_final, want.x_final), (got.y_final, want.y_final), (got.z_final, want.z_final)):
+        assert _same_bytes(a, b)
+    assert (got.converged, got.rounds_used, got.diverged) == (want.converged, want.rounds_used, want.diverged)
+
+
+SOLVERS = [
+    (altmin_solve, _reference_alt_rounds, ALT),
+    (wf_solve, _reference_wf_rounds, WF),
+]
+
+
+class TestByteIdentity:
+    """The solvers reproduce their pre-buffer round bodies byte for byte."""
+
+    @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
+    @pytest.mark.parametrize("frame", ["gaussian_complex", "gaussian_real", "cdp"])
+    @pytest.mark.parametrize("mode", ["fixed_schedule", "exact_linesearch"])
+    @pytest.mark.parametrize("truth, stop", [
+        ("none", None), ("given", None), ("given", 1e-3), ("none", 1e-3),
+    ], ids=["no-truth", "truth-no-stop", "truth-stop", "gradient-stop"])
+    def test_matches_reference(self, solve, reference, sched, frame, mode, truth, stop):
+        e, x0, b, z0 = _frame_instance(frame)
+        truth = x0 if truth == "given" else None
+        cfg = SolverConfig(max_rounds=500, schedules=sched, mode=mode, stop_tolerance=stop)
+        got = solve(e, b, z0, cfg, truth=truth)
+        _same_result(got, _reference_solve(e, b, z0, cfg, truth, reference))
+        # the alternating schedule, tuned on complex frames, diverges on this real one
+        assert got.diverged or (stop is not None) == got.converged
+
+    @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
+    def test_matches_reference_when_diverging(self, solve, reference, sched):
+        e, x0, b, z0 = _frame_instance("gaussian_complex")
+        wild = Schedules(tau0=1e-9, mu_max=10.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
+        cfg = SolverConfig(max_rounds=200, schedules=wild)
+        got = solve(e, b, z0, cfg, truth=x0)
+        assert got.diverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            _same_result(got, _reference_solve(e, b, z0, cfg, x0, reference))
+
+    @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
+    def test_second_solve_leaves_first_result(self, solve, reference, sched):
+        e, x0, b, z0 = _frame_instance("gaussian_complex")
+        cfg = SolverConfig(max_rounds=20, schedules=sched)
+        first = solve(e, b, z0, cfg, truth=x0)
+        kept = [a.copy() for a in (first.x_final, first.y_final, first.z_final)]
+        second = solve(e, b, 2.0 * z0, cfg, truth=x0)
+        for a, b_ in zip((first.x_final, first.y_final, first.z_final), kept):
+            assert _same_bytes(a, b_)
+            assert not any(np.shares_memory(a, c) for c in (second.x_final, second.y_final, second.z_final))
+
+
+class TestRealFrameStart:
+    """A real frame iterates in the reals, so a complex start must be real."""
+
+    @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
+    def test_nonzero_imaginary_part_rejected(self, solve, reference, sched):
+        e, x0, b, _ = _frame_instance("gaussian_real", d=8)
+        v = rng_stream(31, 0).standard_normal(8)
+        with pytest.raises(ValueError, match="imaginary"):
+            solve(e, b, x0 + 0.5j * v, SolverConfig(max_rounds=2, schedules=sched))
+
+    @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
+    def test_zero_imaginary_part_keeps_its_bytes(self, solve, reference, sched):
+        e, x0, b, z0 = _frame_instance("gaussian_real")
+        cfg = SolverConfig(max_rounds=30, schedules=sched)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            got = solve(e, b, z0 + 0j, cfg, truth=x0)
+        _same_result(got, _reference_solve(e, b, z0 + 0j, cfg, x0, reference))
 
 
 class TestCostModel:
