@@ -1,5 +1,5 @@
-"""Experiment harness: phase-transition sweeps, convergence curves, image
-recovery, and the self-check suite.
+"""Experiment harness: phase-transition sweeps, convergence curves and image
+recovery.
 
 Every experiment is fully determined by a flat key=value config plus a seed;
 per-trial randomness is derived from (seed, grid index, trial index, role),
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import json
 import logging
 import os
 import time
@@ -22,23 +21,13 @@ import numpy as np
 
 from . import analysis, signals
 from .core import best_phase, derive_seed, relative_error, rng_stream
-from .measurement import (
-    CDP_ATOM_PROBS,
-    CDP_ATOMS,
-    cdp_ensemble,
-    dense_frame,
-    forward,
-    adjoint,
-    gaussian_ensemble,
-    measure,
-    random_vector,
-    upper_frame_bound,
-)
-# split_grad is unused here but stays a module attribute: instrumentation
-# (phasebench/tracer.py) patches it in this namespace
+from .measurement import cdp_ensemble, gaussian_ensemble, measure, upper_frame_bound
+# forward, adjoint and split_grad are unused here but stay module attributes:
+# instrumentation (phasebench/tracer.py) patches them in this namespace
+from .measurement import adjoint, forward  # noqa: F401
 from .objective import split_grad  # noqa: F401
 from .signals import load_image, random_gaussian_signal, random_lowpass_signal, save_image, ImageChannels
-from .solvers import Schedules, SolverConfig, altmin_solve, fixed_step, wf_solve
+from .solvers import Schedules, SolverConfig, altmin_solve, wf_solve
 from .spectral import spectral_init
 
 log = logging.getLogger(__name__)
@@ -55,7 +44,6 @@ __all__ = [
     "convergence_csv",
     "run_image_experiment",
     "image_report_csv",
-    "run_checks",
 ]
 
 # The coupling weight lam0 = 300 puts the decay rate of the x/y scale
@@ -66,7 +54,6 @@ _ALT_GL = Schedules(tau0=330.0, mu_max=0.4, lam0=300.0, lam_decay=0.05 / 300)
 _ALT_CG = Schedules(tau0=330.0, mu_max=0.4, lam0=300.0, lam_decay=0.0015 / 330)
 _ALT_CL = Schedules(tau0=330.0, mu_max=0.4, lam0=300.0, lam_decay=1.5 / 330)
 _WF_DEFAULT = Schedules(tau0=330.0, mu_max=0.2)
-_WF_IMAGE = Schedules(tau0=330.0, mu_max=0.4)
 
 
 @dataclass(frozen=True)
@@ -154,16 +141,8 @@ PRESETS = {
         experiment="phase_transition", model="cdp", signal="lowpass",
         grid=(4.0, 5.0, 6.0, 8.0), alt=_ALT_CL, wf=_WF_DEFAULT,
     ),
-    # Megapixel-scale image tuning: the large coupling weight suits signal
-    # energies around 1e4-1e5 and does not transfer to small images.
-    "image_large": ExperimentConfig(
-        experiment="image", model="cdp", signal="image", image_L=15,
-        alt=Schedules(tau0=150.0, mu_max=1.0, lam0=8000.0, lam_decay=0.001),
-        wf=_WF_IMAGE,
-    ),
-    # Desk-scale image preset: same shape, coupling matched to [0,1]-valued
-    # images of a few hundred pixels; the flow baseline keeps the synthetic
-    # experiments' step cap.
+    # Image preset: coupling matched to [0,1]-valued images of a few hundred
+    # pixels; the flow baseline keeps the synthetic experiments' step cap.
     "image_small": ExperimentConfig(
         experiment="image", model="cdp", signal="image", image_L=15,
         alt=Schedules(tau0=100.0, mu_max=0.5, lam0=30.0, lam_decay=0.0015),
@@ -209,9 +188,6 @@ def parse_config(text):
         elif key in _SCHEDULE_KEYS:
             target, fname, conv = _SCHEDULE_KEYS[key]
             sched_updates[target][fname] = conv(value)
-        elif key == "step_scaling":
-            sched_updates["alt"]["step_scaling"] = value
-            sched_updates["wf"]["step_scaling"] = value
         elif key == "grid":
             updates["grid"] = tuple(float(v) for v in value.split(","))
         elif key == "image_rounds":
@@ -321,7 +297,7 @@ class PhaseTransitionRow:
 
 def run_phase_transition(cfg):
     """Success-rate sweep over the config grid; returns one row per grid point."""
-    cfg.validate()
+    replace(cfg, experiment="phase_transition").validate()
     tasks = [(grid_value, gi, ti) for gi, grid_value in enumerate(cfg.grid) for ti in range(cfg.trials)]
     trial = partial(_trial_error, cfg)
     workers = min(cfg.workers, _usable_cpus())
@@ -369,7 +345,7 @@ def run_convergence_curve(cfg):
     matched with one alternating round counting as two iterations. Gaussian
     models run at N = 4.5 d; CDP uses the largest mask count in the grid.
     """
-    cfg.validate()
+    replace(cfg, experiment="converge").validate()
     grid_value = cfg.grid[-1] if cfg.model == "cdp" else 4.5
     e, x0 = _synthetic_instance(cfg, grid_value, 0, 0)
     b, z0 = _measure_and_start(cfg, e, x0, 0, 0)
@@ -429,7 +405,7 @@ def run_image_experiment(cfg, out_dir=None):
     pools the per-channel distances over all channels. Recovered channels
     (at the largest n) are written as PGM/PPM when ``out_dir`` is given.
     """
-    cfg.validate()
+    replace(cfg, experiment="image").validate()
     if not cfg.image_path:
         raise ValueError("image experiment needs image_path")
     image = load_image(cfg.image_path)
@@ -489,103 +465,3 @@ def image_report_csv(report):
     for row in report:
         lines.append(f"{row['n']},{row['algo']},{row['iterations']},{row['rel_error']!r}")
     return "\n".join(lines) + "\n"
-
-
-def _check_entry(name, value, threshold, ok):
-    return {"name": name, "value": value, "threshold": threshold, "passed": bool(ok)}
-
-
-def run_checks():
-    """Run every verification instrument; returns (ok, entries)."""
-    entries = []
-
-    # gradient checks at a random point, real then complex
-    for fieldname, bound in (("real", 1e-6), ("complex", 1e-5)):
-        e = gaussian_ensemble(8, 40, field=fieldname, seed=101)
-        rng = rng_stream(101, 7)
-        x0 = random_vector(e, rng)
-        b = measure(e, x0)
-        point = (random_vector(e, rng), random_vector(e, rng))
-        worst = 0.0
-        for kind in ("split_x", "split_y", "wf"):
-            if kind == "wf":
-                dev = analysis.fd_gradient_check(kind, e, point[0], b, lam=0.0, rng=rng)
-            else:
-                dev = analysis.fd_gradient_check(kind, e, point, b, lam=0.7, rng=rng)
-            worst = max(worst, dev)
-        entries.append(_check_entry(f"gradient_{fieldname}", worst, bound, worst < bound))
-
-    # adjoint identity on both ensemble kinds
-    for name, e in (
-        ("adjoint_gaussian", gaussian_ensemble(16, 64, seed=102)),
-        ("adjoint_cdp", cdp_ensemble(16, 4, seed=103)),
-    ):
-        rng = rng_stream(102, 1)
-        worst = 0.0
-        for _ in range(100):
-            v = random_vector(e, rng)
-            w = rng.standard_normal(e.N) + 1j * rng.standard_normal(e.N)
-            lhs = np.vdot(forward(e, v), w)
-            rhs = np.vdot(v, adjoint(e, w))
-            worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(forward(e, v)) * np.linalg.norm(w)))
-        entries.append(_check_entry(name, worst, 1e-10, worst <= 1e-10))
-
-    # CDP fast path against the materialized frame
-    e = cdp_ensemble(32, 3, seed=104)
-    dense = dense_frame(e)
-    rng = rng_stream(104, 1)
-    worst = 0.0
-    for _ in range(20):
-        v = random_vector(e, rng)
-        fast = forward(e, v)
-        slow = dense.conj().T @ v
-        worst = max(worst, np.linalg.norm(fast - slow) / np.linalg.norm(slow))
-    entries.append(_check_entry("cdp_fft_vs_dense", worst, 1e-10, worst <= 1e-10))
-
-    # frame-bound inequality and tightness
-    rep = analysis.frame_bound_check(gaussian_ensemble(16, 64, seed=105), trials=1000)
-    entries.append(_check_entry("frame_bound_violations", rep.violations, 0, rep.violations == 0))
-    entries.append(_check_entry("frame_bound_tightness", rep.equality_gap, 1e-6, rep.equality_gap <= 1e-6))
-
-    # monotone descent: fixed step + fixed coupling, then exact line search
-    e = gaussian_ensemble(32, 192, seed=106)
-    x0 = random_gaussian_signal(32, rng_stream(106, 1))
-    b = measure(e, x0)
-    init = spectral_init(e, b, rng=rng_stream(106, 2))
-    lam = 1.0
-    step = fixed_step(e, init.z0, lam)
-    fixed = Schedules(tau0=1e-9, mu_max=step, lam0=lam, lam_decay=0.0, step_scaling="raw")
-    res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=300, schedules=fixed), truth=x0)
-    ok_fixed, idx = analysis.monotonicity_audit(res)
-    entries.append(_check_entry("monotone_fixed_step", -1 if idx is None else idx, -1, ok_fixed))
-
-    ls = SolverConfig(max_rounds=300, schedules=_ALT_GG, mode="exact_linesearch")
-    res = altmin_solve(e, b, init.z0, ls, truth=x0)
-    ok_ls, idx = analysis.monotonicity_audit(res)
-    entries.append(_check_entry("monotone_linesearch", -1 if idx is None else idx, -1, ok_ls))
-
-    # predicted one-step decrease ratio (~2/3)
-    ratios = []
-    for seed in range(5):
-        e = gaussian_ensemble(64, 512, field="real", seed=200 + seed)
-        x0 = rng_stream(200 + seed, 1).standard_normal(64)
-        ratios.append(analysis.speedup_diagnostic(e, x0, 1e-3).ratio)
-    mean_ratio = float(np.mean(ratios))
-    entries.append(_check_entry("speedup_ratio", mean_ratio, (0.55, 0.80), 0.55 <= mean_ratio <= 0.80))
-
-    # mask atom statistics
-    masks = cdp_ensemble(1000, 100, seed=107).masks.ravel()
-    freq_dev = max(
-        abs(float(np.mean(np.isclose(masks, atom))) - p)
-        for atom, p in zip(CDP_ATOMS, CDP_ATOM_PROBS)
-    )
-    energy = float(np.mean(np.abs(masks) ** 2))
-    entries.append(_check_entry("cdp_atom_frequencies", freq_dev, 0.005, freq_dev <= 0.005))
-    entries.append(_check_entry("cdp_atom_energy", energy, (0.98, 1.02), abs(energy - 1.0) <= 0.02))
-
-    ok = all(en["passed"] for en in entries)
-    return ok, entries
-
-
-def checks_json(ok, entries):
-    return json.dumps({"passed": ok, "checks": entries}, indent=2, sort_keys=True) + "\n"

@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import bench
+from . import bench, checks
 from .signals import gradient_image, load_image, save_image
 
 def _build_parser():
@@ -117,10 +117,10 @@ def main(argv=None):
         print(f"wrote {path}")
         return 0
 
-    ok, entries = bench.run_checks()
+    ok, entries = checks.run_checks()
     path = os.path.join(args.out, "checks.json")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(bench.checks_json(ok, entries))
+        fh.write(checks.checks_json(ok, entries))
     for entry in entries:
         status = "pass" if entry["passed"] else "FAIL"
         print(f"[{status}] {entry['name']}: value={entry['value']} threshold={entry['threshold']}")

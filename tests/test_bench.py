@@ -1,12 +1,16 @@
 import ctypes
 import logging
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from phasesplit import bench, cli
+import phasesplit
+from phasesplit import bench, checks, cli
 from phasesplit.signals import ImageChannels, load_image, save_image
 from phasesplit.solvers import Schedules
 
@@ -67,13 +71,18 @@ class TestConfigParsing:
         assert cfg.alt.lam_decay == pytest.approx(0.0015 / 330)  # preset value kept
 
     def test_schedule_keys(self):
-        cfg = bench.parse_config("wf_mu_max=0.3\nstep_scaling=raw\n")
+        cfg = bench.parse_config("wf_mu_max=0.3\n")
         assert cfg.wf.mu_max == 0.3
-        assert cfg.wf.step_scaling == "raw" and cfg.alt.step_scaling == "raw"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             bench.parse_config("velocity=9\n")
+
+    def test_step_scaling_is_not_a_config_key(self):
+        # raw scaling on the ramped preset schedules diverges; only the
+        # library's fixed-step schedules use it
+        with pytest.raises(ValueError, match="unknown config key 'step_scaling'"):
+            bench.parse_config("preset=gaussian_gaussian\nstep_scaling=raw\n")
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -166,6 +175,13 @@ class TestPhaseTransition:
             assert bench.run_phase_transition(replace(cfg, workers=2)) == serial
         assert len(caplog.records) == 1 and "OpenBLAS" in caplog.records[0].getMessage()
 
+    def test_validates_as_phase_transition(self):
+        # the config's own experiment field is the default "check", whose
+        # rules skip the cdp mask-count test
+        cfg = bench.ExperimentConfig(model="cdp", grid=(4.5,), d=16, trials=1, iterations=20)
+        with pytest.raises(ValueError, match="mask counts"):
+            bench.run_phase_transition(cfg)
+
     def test_wf_solver_selectable(self):
         cfg = tiny_phase_config(algo="wf", grid=(6.0,), iterations=800)
         rows = bench.run_phase_transition(cfg)
@@ -216,6 +232,11 @@ class TestConvergence:
         assert summary["alt_rounds"] == 100
         assert summary["wf_iterations"] == 2 * summary["alt_rounds"]
 
+    def test_validates_as_converge(self):
+        cfg = bench.ExperimentConfig(model="cdp", grid=(4.5,), d=16, iterations=4)
+        with pytest.raises(ValueError, match="mask counts"):
+            bench.run_convergence_curve(cfg)
+
     def test_deterministic(self):
         cfg = tiny_phase_config(experiment="converge", d=16, iterations=200, stop_tol=0.0)
         a1, w1, _, _ = bench.run_convergence_curve(cfg)
@@ -254,12 +275,53 @@ class TestImageExperiment:
         assert len(report) == 2
 
 
+CHECK_NAMES = [
+    "gradient_real",
+    "gradient_complex",
+    "adjoint_gaussian",
+    "adjoint_cdp",
+    "cdp_fft_vs_dense",
+    "frame_bound_violations",
+    "frame_bound_tightness",
+    "monotone_fixed_step",
+    "monotone_linesearch",
+    "speedup_ratio",
+    "cdp_atom_frequencies",
+    "cdp_atom_energy",
+]
+
+
+@pytest.fixture(scope="module")
+def check_run():
+    return checks.run_checks()
+
+
 class TestChecks:
-    def test_all_pass(self):
-        ok, entries = bench.run_checks()
+    def test_all_pass(self, check_run):
+        ok, entries = check_run
         assert ok
-        assert len(entries) >= 10
+        assert [e["name"] for e in entries] == CHECK_NAMES
         assert all(e["passed"] for e in entries)
+
+    @pytest.mark.parametrize(
+        "value, bound, expected",
+        [
+            (1e-6, 1e-6, True),
+            (np.nextafter(1e-6, 1.0), 1e-6, False),
+            (0, 0, True),
+            (1, 0, False),
+            (0.7, (0.55, 0.80), True),
+            (0.55, (0.55, 0.80), True),
+            (0.80, (0.55, 0.80), True),
+            (np.nextafter(0.55, 0.0), (0.55, 0.80), False),
+            (np.nextafter(0.80, 1.0), (0.55, 0.80), False),
+            (-1, -1, True),  # a monotone row with no uptick
+            (0, -1, False),  # an uptick at index 0 or later
+            (17, -1, False),
+        ],
+    )
+    def test_verdict_rule(self, value, bound, expected):
+        assert checks.passes(value, bound) is expected
 
     def test_injected_sign_error_fails(self, monkeypatch):
         from phasesplit import analysis
@@ -270,31 +332,39 @@ class TestChecks:
             return -gx, gy
 
         monkeypatch.setattr(analysis, "split_grad", flipped)
-        ok, entries = bench.run_checks()
+        ok, entries = checks.run_checks()
         assert not ok
         failed = [e["name"] for e in entries if not e["passed"]]
         assert any(name.startswith("gradient") for name in failed)
 
-    def test_json_shape(self):
+    def test_json_shape(self, check_run):
         import json
 
-        ok, entries = bench.run_checks()
-        payload = json.loads(bench.checks_json(ok, entries))
+        payload = json.loads(checks.checks_json(*check_run))
         assert payload["passed"] is True
-        assert {e["name"] for e in payload["checks"]} >= {
-            "gradient_real",
-            "adjoint_cdp",
-            "cdp_fft_vs_dense",
-            "frame_bound_violations",
-            "monotone_fixed_step",
-            "speedup_ratio",
-        }
+        assert [e["name"] for e in payload["checks"]] == CHECK_NAMES
+        assert all(set(e) == {"name", "value", "threshold", "passed"} for e in payload["checks"])
+
+
+@pytest.mark.parametrize("module", ["phasesplit.checks", "phasesplit.bench", "phasesplit.analysis"])
+def test_imports_first_in_a_fresh_interpreter(module):
+    # checks imports bench and analysis, so neither may import checks back
+    src = os.path.dirname(os.path.dirname(phasesplit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", f"import {module}"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCli:
-    def test_check_command(self, tmp_path):
+    def test_check_command(self, tmp_path, capsys):
         assert cli.main(["check", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "checks.json").exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(CHECK_NAMES) + 1
+        for name, line in zip(CHECK_NAMES, lines):
+            assert line.startswith(f"[pass] {name}: value=") and " threshold=" in line
+        assert lines[-1] == f"wrote {tmp_path / 'checks.json'}"
 
     def test_phase_transition_command(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
