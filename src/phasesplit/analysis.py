@@ -156,9 +156,9 @@ def nuclear_dist_rank2(x, z):
 class SpeedupReport:
     """Model-predicted one-step objective decreases near a solution."""
 
-    predicted_E_decrease: float  # split objective, one optimally-sized x-step
-    predicted_G_decrease: float  # quartic objective, one optimally-sized step
-    ratio: float  # G decrease over E decrease, ~2/3 when x ~ y
+    predicted_E_decrease: float  # -||gx||^4 / (2 gx^* H gx): twice an exact x-step's decrease
+    predicted_G_decrease: float  # -||g||^4 / (2 wf_quad_form): 4/3 of an exact flow step's on real frames
+    ratio: float  # G over E prediction: (4/3) / 2 = 2/3 on real frames near x ~ y
     proximity: float
 
 
@@ -167,9 +167,10 @@ def speedup_diagnostic(e, x0, perturbation, rng=None):
 
     Evaluated at x = y = x0 + delta with ||delta|| = perturbation * ||x0||,
     exact intensities from x0 and no coupling. Both predictions use the
-    near-solution quadratic models behind the optimal step sizes; their
-    ratio approaches 2/3 as the perturbation shrinks, i.e. the alternating
-    step removes 1.5x more objective than the flow step.
+    near-solution quadratic models behind the optimal step sizes, and their
+    ratio approaches 2/3 as the perturbation shrinks. That is the product of
+    the formulas' normalizations (2 for the split, 4/3 for the flow on real
+    frames): on real frames the exact one-step decreases agree.
     """
     if e.kind != "gaussian_real":
         raise ValueError("the decrease comparison is defined for real ensembles")

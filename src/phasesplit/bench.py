@@ -58,9 +58,9 @@ _WF_DEFAULT = Schedules(tau0=330.0, mu_max=0.2)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = "check"  # phase_transition | converge | image | check
+    experiment: str = "phase_transition"  # a label naming the run: phase_transition | converge | image
     model: str = "gaussian_complex"  # gaussian_complex | cdp
-    signal: str = "gaussian"  # gaussian | lowpass | image
+    signal: str = "gaussian"  # gaussian | lowpass
     algo: str = "alt"  # solver for phase-transition trials: alt | wf
     d: int = 128
     trials: int = 20
@@ -78,11 +78,12 @@ class ExperimentConfig:
     image_rounds: tuple = (100, 125, 150)
 
     def validate(self):
-        if self.experiment not in ("phase_transition", "converge", "image", "check"):
+        # one rule set whatever runs the config: experiment is only a label
+        if self.experiment not in ("phase_transition", "converge", "image"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.model not in ("gaussian_complex", "cdp"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.signal not in ("gaussian", "lowpass", "image"):
+        if self.signal not in ("gaussian", "lowpass"):
             raise ValueError(f"unknown signal {self.signal!r}")
         if self.algo not in ("alt", "wf"):
             raise ValueError(f"unknown algo {self.algo!r}")
@@ -100,19 +101,15 @@ class ExperimentConfig:
             raise ValueError("grid values must be positive and finite")
         if list(self.grid) != sorted(set(self.grid)):
             raise ValueError("grid must be strictly increasing")
-        if self.experiment in ("phase_transition", "converge"):
-            # the image experiment reads neither the grid nor a synthetic signal
-            if self.signal == "image":
-                raise ValueError(f"{self.experiment} needs a synthetic signal (gaussian or lowpass)")
-            if self.iterations < 2:
-                raise ValueError(f"{self.experiment} runs iterations // 2 rounds, so iterations must be >= 2")
-            signals.check_signal_size(self.signal, self.d)
-            if self.model == "cdp" and any(not float(g).is_integer() for g in self.grid):
+        if self.iterations < 2:
+            raise ValueError("experiments run iterations // 2 rounds, so iterations must be >= 2")
+        signals.check_signal_size(self.signal, self.d)
+        if self.model == "cdp":
+            if any(not float(g).is_integer() for g in self.grid):
                 raise ValueError("cdp grid values are mask counts and must be integers")
-        if self.experiment == "phase_transition" and self.model != "cdp":
+        elif any(round(g * self.d) < 1 for g in self.grid):
             # _make_ensemble draws N = round(g * d) measurements
-            if any(round(g * self.d) < 1 for g in self.grid):
-                raise ValueError(f"gaussian grid values must give N = round(grid * d) >= 1 at d={self.d}")
+            raise ValueError(f"gaussian grid values must give N = round(grid * d) >= 1 at d={self.d}")
         if len(self.image_rounds) == 0 or any(n < 1 for n in self.image_rounds):
             raise ValueError("image_rounds must be positive")
         if list(self.image_rounds) != sorted(set(self.image_rounds)):
@@ -126,25 +123,26 @@ class ExperimentConfig:
 # see a reciprocal rescaling of the factors).
 PRESETS = {
     "gaussian_gaussian": ExperimentConfig(
-        experiment="phase_transition", model="gaussian_complex", signal="gaussian",
+        model="gaussian_complex", signal="gaussian",
         grid=(3.0, 3.5, 4.0, 4.5, 5.0, 6.0), alt=_ALT_GG, wf=_WF_DEFAULT,
     ),
     "gaussian_lowpass": ExperimentConfig(
-        experiment="phase_transition", model="gaussian_complex", signal="lowpass",
+        model="gaussian_complex", signal="lowpass",
         grid=(3.0, 3.5, 4.0, 4.5, 5.0, 6.0), alt=_ALT_GL, wf=_WF_DEFAULT,
     ),
     "cdp_gaussian": ExperimentConfig(
-        experiment="phase_transition", model="cdp", signal="gaussian",
+        model="cdp", signal="gaussian",
         grid=(4.0, 5.0, 6.0, 8.0), alt=_ALT_CG, wf=_WF_DEFAULT,
     ),
     "cdp_lowpass": ExperimentConfig(
-        experiment="phase_transition", model="cdp", signal="lowpass",
+        model="cdp", signal="lowpass",
         grid=(4.0, 5.0, 6.0, 8.0), alt=_ALT_CL, wf=_WF_DEFAULT,
     ),
     # Image preset: coupling matched to [0,1]-valued images of a few hundred
-    # pixels; the flow baseline keeps the synthetic experiments' step cap.
+    # pixels; the flow baseline keeps the synthetic experiments' step cap. The
+    # image run is CDP with image_L masks whatever the model and signal keys say.
     "image_small": ExperimentConfig(
-        experiment="image", model="cdp", signal="image", image_L=15,
+        experiment="image", image_L=15,
         alt=Schedules(tau0=100.0, mu_max=0.5, lam0=30.0, lam_decay=0.0015),
         wf=_WF_DEFAULT,
     ),
@@ -159,11 +157,12 @@ _SCHEDULE_KEYS = {
     "wf_mu_max": ("wf", "mu_max", float),
 }
 
-# every config field with a plain int, float or str default, parsed by that type
+# every config field with a plain int, float or str default, parsed by that type;
+# not experiment, because the subcommand names the run
 _SCALAR_KEYS = {
     f.name: type(f.default)
     for f in fields(ExperimentConfig)
-    if isinstance(f.default, (int, float, str))
+    if isinstance(f.default, (int, float, str)) and f.name != "experiment"
 }
 
 
@@ -176,8 +175,10 @@ def parse_config(text):
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in pairs:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+        pairs[key] = value
 
     cfg = PRESETS[pairs.pop("preset")] if "preset" in pairs else ExperimentConfig()
     updates = {}
@@ -244,11 +245,7 @@ def _make_ensemble(model, d, grid_value, seed):
 
 
 def _make_signal(kind, d, rng):
-    if kind == "gaussian":
-        return random_gaussian_signal(d, rng)
-    if kind == "lowpass":
-        return random_lowpass_signal(d, rng)
-    raise ValueError(f"no synthetic generator for signal kind {kind!r}")
+    return random_lowpass_signal(d, rng) if kind == "lowpass" else random_gaussian_signal(d, rng)
 
 
 def _synthetic_instance(cfg, grid_value, grid_idx, trial_idx):
@@ -297,7 +294,7 @@ class PhaseTransitionRow:
 
 def run_phase_transition(cfg):
     """Success-rate sweep over the config grid; returns one row per grid point."""
-    replace(cfg, experiment="phase_transition").validate()
+    cfg.validate()
     tasks = [(grid_value, gi, ti) for gi, grid_value in enumerate(cfg.grid) for ti in range(cfg.trials)]
     trial = partial(_trial_error, cfg)
     workers = min(cfg.workers, _usable_cpus())
@@ -345,7 +342,7 @@ def run_convergence_curve(cfg):
     matched with one alternating round counting as two iterations. Gaussian
     models run at N = 4.5 d; CDP uses the largest mask count in the grid.
     """
-    replace(cfg, experiment="converge").validate()
+    cfg.validate()
     grid_value = cfg.grid[-1] if cfg.model == "cdp" else 4.5
     e, x0 = _synthetic_instance(cfg, grid_value, 0, 0)
     b, z0 = _measure_and_start(cfg, e, x0, 0, 0)
@@ -405,7 +402,7 @@ def run_image_experiment(cfg, out_dir=None):
     pools the per-channel distances over all channels. Recovered channels
     (at the largest n) are written as PGM/PPM when ``out_dir`` is given.
     """
-    replace(cfg, experiment="image").validate()
+    cfg.validate()
     if not cfg.image_path:
         raise ValueError("image experiment needs image_path")
     image = load_image(cfg.image_path)

@@ -15,6 +15,7 @@ from phasesplit.measurement import (
     gaussian_ensemble,
     measure,
 )
+from phasesplit.objective import split_grad, split_quad_form, wf_grad
 from phasesplit.solvers import Schedules, SolverConfig, altmin_solve, wf_solve
 from phasesplit.spectral import spectral_init
 
@@ -157,6 +158,37 @@ class TestSpeedupDiagnostic:
         # a zero signal also lands exactly on a critical point
         with pytest.raises(ValueError, match="critical"):
             speedup_diagnostic(e, np.zeros(16), 1e-3)
+
+    def test_exact_one_step_decreases_agree_on_real_frames(self):
+        # the ~2/3 is two normalizations, not a larger alternating decrease:
+        # the split formula counts twice the exact x-step decrease, the flow
+        # formula 4/3 of the exact flow-step decrease
+        for seed in range(4000, 4005):
+            e = gaussian_ensemble(64, 512, field="real", seed=seed)
+            x0 = rng_stream(seed, 1).standard_normal(64)
+            rep = speedup_diagnostic(e, x0, 1e-3, rng=rng_stream(seed, 2))
+            delta = rng_stream(seed, 2).standard_normal(64)  # the diagnostic's own draw
+            z = x0 + delta * (1e-3 * np.linalg.norm(x0) / np.linalg.norm(delta))
+            b = measure(e, x0)
+
+            gx, _ = split_grad(e, z, z, b, 0.0)
+            sq = np.linalg.norm(gx) ** 2
+            quad = split_quad_form(e, z, gx, 0.0)
+            dec_e = sq * sq / (4.0 * quad)  # E(z - t gx, z) = E - t sq + t^2 quad exactly
+
+            # G(z - t g) = (1/N) sum (p + q t + s t^2)^2, minimized at a real
+            # root of its cubic derivative (ROADMAP item 1's coefficients)
+            a, c = forward(e, z), forward(e, wf_grad(e, z, b))
+            p, q, s = a * a - b, -2.0 * a * c, c * c
+            cubic = [4 * (s * s).sum(), 6 * (q * s).sum(), 2 * (q * q + 2 * p * s).sum(), 2 * (p * q).sum()]
+
+            def quartic(t):
+                return ((p + q * t + s * t * t) ** 2).sum() / e.N
+
+            dec_g = quartic(0.0) - min(quartic(t.real) for t in np.roots(cubic))
+            assert dec_g == pytest.approx(dec_e, rel=0.01)
+            assert rep.predicted_E_decrease == pytest.approx(-2.0 * dec_e, rel=1e-9)
+            assert rep.predicted_G_decrease == pytest.approx(-4.0 / 3.0 * dec_g, rel=0.01)
 
     def test_complex_ensembles_rejected(self):
         e = gaussian_ensemble(16, 128, field="complex", seed=16)

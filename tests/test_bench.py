@@ -1,6 +1,8 @@
 import ctypes
 import logging
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -53,8 +55,9 @@ def gradient_pgm(tmp_path, w=8, h=8):
 
 class TestConfigParsing:
     def test_defaults(self):
-        cfg = bench.parse_config("experiment=check\n")
+        cfg = bench.parse_config("")
         assert cfg.d == 128 and cfg.trials == 20
+        assert cfg.experiment == "phase_transition"
 
     def test_preset_with_overrides(self):
         cfg = bench.parse_config(
@@ -84,6 +87,32 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config key 'step_scaling'"):
             bench.parse_config("preset=gaussian_gaussian\nstep_scaling=raw\n")
 
+    @pytest.mark.parametrize("text, lineno, key", [
+        ("d=16\nd=32\n", 2, "d"),
+        ("preset=cdp_gaussian\ntrials=3\npreset = gaussian_gaussian\n", 3, "preset"),
+    ])
+    def test_duplicate_key_rejected(self, text, lineno, key):
+        with pytest.raises(ValueError, match=f"config line {lineno}: duplicate key '{key}'"):
+            bench.parse_config(text)
+
+    def test_unknown_experiment_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown experiment 'warp'"):
+            bench.ExperimentConfig(experiment="warp").validate()
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"d": 15}, "d must be even"),
+        ({"iterations": 1}, "iterations must be >= 2"),
+        ({"model": "cdp", "grid": (4.5,)}, "mask counts"),
+    ])
+    def test_one_rule_set_for_every_runner(self, tmp_path, overrides, match):
+        cfg = replace(bench.PRESETS["image_small"], image_path=gradient_pgm(tmp_path), **overrides)
+        messages = set()
+        for run in (bench.run_phase_transition, bench.run_convergence_curve, bench.run_image_experiment):
+            with pytest.raises(ValueError, match=match) as exc:
+                run(cfg)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             bench.parse_config("just words\n")
@@ -94,13 +123,13 @@ class TestConfigParsing:
 
     def test_scalar_keys_cover_plain_fields(self):
         assert set(bench._SCALAR_KEYS) == {
-            "experiment", "model", "signal", "algo", "d", "trials", "iterations", "seed",
+            "model", "signal", "algo", "d", "trials", "iterations", "seed",
             "workers", "success_threshold", "stop_tol", "power_iters", "image_path", "image_L",
         }
         assert bench.parse_config("stop_tol=1e-6\nimage_L=3\n").stop_tol == 1e-6
 
     def test_image_requires_path_at_run_time(self):
-        cfg = bench.parse_config("experiment=image\nsignal=image\nmodel=cdp\n")
+        cfg = bench.parse_config("preset=image_small\n")
         with pytest.raises(ValueError, match="image_path"):
             bench.run_image_experiment(cfg)
 
@@ -176,8 +205,7 @@ class TestPhaseTransition:
         assert len(caplog.records) == 1 and "OpenBLAS" in caplog.records[0].getMessage()
 
     def test_validates_as_phase_transition(self):
-        # the config's own experiment field is the default "check", whose
-        # rules skip the cdp mask-count test
+        # the runner validates the config it is given, label and all
         cfg = bench.ExperimentConfig(model="cdp", grid=(4.5,), d=16, trials=1, iterations=20)
         with pytest.raises(ValueError, match="mask counts"):
             bench.run_phase_transition(cfg)
@@ -369,7 +397,7 @@ class TestCli:
     def test_phase_transition_command(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(
-            "experiment=phase_transition\nd=16\ntrials=2\niterations=200\n"
+            "d=16\ntrials=2\niterations=200\n"
             "grid=2,6\nseed=4\nstop_tol=1e-6\n"
         )
         code = cli.main(
@@ -381,7 +409,7 @@ class TestCli:
 
     def test_seed_and_trials_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("experiment=phase_transition\nd=16\ntrials=2\niterations=200\ngrid=6\n")
+        cfg_path.write_text("d=16\ntrials=2\niterations=200\ngrid=6\n")
         cli.main(
             [
                 "phase-transition",
@@ -426,8 +454,12 @@ class TestCli:
             ("phase-transition", "model=cdp\ngrid=4.5\n", "integers"),
             ("phase-transition", "grid=3,inf\n", "finite"),
             ("converge", "model=cdp\ngrid=4,5.5\n", "integers"),
-            ("converge", "preset=image_small\n", "synthetic signal"),
-            ("phase-transition", "signal=image\n", "synthetic signal"),
+            ("phase-transition", "signal=image\n", "unknown signal"),
+            ("phase-transition", "experiment=converge\n", "unknown config key 'experiment'"),
+            ("converge", "d=16\nd=32\n", "config line 2: duplicate key 'd'"),
+            ("image", "preset=image_small\npreset=image_small\n", "duplicate key 'preset'"),
+            ("image", "preset=image_small\nd=15\n", "d must be even"),
+            ("image", "preset=image_small\niterations=1\n", "iterations must be >= 2"),
             ("image", "preset=image_small\nimage_L=0\n", "image_L"),
             ("phase-transition", "stop_tol=-1e-8\n", "stop_tol"),
             ("converge", "success_threshold=0\n", "success_threshold"),
@@ -476,6 +508,11 @@ class TestCli:
         assert exc.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
+    def test_image_preset_is_a_valid_converge_config(self, tmp_path):
+        # the image run reads neither model nor signal, so image_small keeps
+        # their defaults and the other subcommands accept it as it is
+        assert cli.main(["converge", "--preset", "image_small", "--out", str(tmp_path)]) == 0
+
     def test_image_command_defaults_to_synthetic_gradient(self, tmp_path):
         cfg_path = tmp_path / "img.cfg"
         cfg_path.write_text("preset=image_small\nimage_rounds=10,20\nseed=2\n")
@@ -510,3 +547,25 @@ class TestTracerTargets:
         spec.loader.exec_module(tracer)
         missing = [f"{module.__name__}.{attr}" for module, attr, _ in tracer.TARGETS if not hasattr(module, attr)]
         assert not missing
+
+
+class TestReadmeConfigDocs:
+    """The README's config docs name exactly what the parser accepts, so a
+    key deleted later cannot leave them stale."""
+
+    @staticmethod
+    def _section(heading):
+        text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        return re.split(r"\n#+ ", text.split(f"\n{heading}\n", 1)[1], maxsplit=1)[0]
+
+    def test_config_keys_match_the_parser(self):
+        section = self._section("### Config files")
+        keys = set(re.findall(r"^(\w+)=", section.split("```")[1], re.M))
+        other = re.sub(r"\([^)]*\)", "", section.split("Other keys:", 1)[1])  # drop the value lists
+        keys |= set(re.findall(r"`(\w+)`", other))
+        accepted = set(bench._SCALAR_KEYS) | set(bench._SCHEDULE_KEYS) | {"grid", "image_rounds", "preset"}
+        assert keys == accepted
+
+    def test_presets_table_names_every_preset(self):
+        rows = re.findall(r"^\| (\w+) ", self._section("### Presets"), re.M)
+        assert set(rows[1:]) == set(bench.PRESETS)  # rows[0] is the header
