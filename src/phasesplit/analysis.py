@@ -172,7 +172,7 @@ def speedup_diagnostic(e, x0, perturbation, rng=None):
     the formulas' normalizations (2 for the split, 4/3 for the flow on real
     frames): on real frames the exact one-step decreases agree.
     """
-    if e.kind != "gaussian_real":
+    if e.is_complex:
         raise ValueError("the decrease comparison is defined for real ensembles")
     if not 0 < perturbation <= 1e-3:
         raise ValueError("perturbation must be in (0, 1e-3]")

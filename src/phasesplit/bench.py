@@ -288,8 +288,11 @@ class PhaseTransitionRow:
     ratio: float  # oversampling ratio N/d, or mask count for cdp
     trials: int
     successes: int
-    success_rate: float
     mean_rel_error: float  # over trials with a finite final error
+
+    @property
+    def success_rate(self):
+        return self.successes / self.trials
 
 
 def run_phase_transition(cfg):
@@ -318,7 +321,6 @@ def run_phase_transition(cfg):
                 ratio=float(grid_value),
                 trials=cfg.trials,
                 successes=successes,
-                success_rate=successes / cfg.trials,
                 mean_rel_error=float(np.mean(finite)) if finite.size else float("inf"),
             )
         )

@@ -3,12 +3,12 @@
 Two ensemble families are supported: dense Gaussian frames (real or complex
 columns) and coded diffraction patterns (CDP), where each of L random masks
 is applied entrywise before an unnormalized DFT. Ensembles are immutable,
-re-derivable from their seed, and applied matrix-free.
+re-derivable from the seed their factory draws from, and applied matrix-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,16 +56,21 @@ CDP_ATOM_PROBS = np.array([0.2, 0.2, 0.2, 0.2, 0.05, 0.05, 0.05, 0.05])
 class Ensemble:
     """An immutable measurement frame of N vectors in dimension d.
 
-    Gaussian kinds carry the frame matrix (columns f_1..f_N); the CDP kind
-    carries the L masks, with N = L*d measurements applied via FFTs.
+    It holds one payload, a Gaussian frame matrix (columns f_1..f_N, real or
+    complex) or the L CDP masks (N = L*d, via FFTs); d and N are read off it.
     """
 
-    kind: str  # gaussian_complex | gaussian_real | cdp
-    d: int
-    N: int
-    seed: int
     frame: np.ndarray | None = None  # (d, N)
     masks: np.ndarray | None = None  # (L, d)
+    d: int = field(init=False)
+    N: int = field(init=False)
+
+    def __post_init__(self):
+        if (self.frame is None) == (self.masks is None):
+            raise ValueError("an ensemble holds exactly one of frame and masks")
+        d, n = self.frame.shape if self.masks is None else (self.masks.shape[1], self.masks.size)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "N", n)
 
     @property
     def L(self):
@@ -75,7 +80,7 @@ class Ensemble:
 
     @property
     def is_complex(self):
-        return self.kind != "gaussian_real"
+        return self.masks is not None or np.iscomplexobj(self.frame)
 
     @property
     def maybe_rank_deficient(self):
@@ -84,21 +89,35 @@ class Ensemble:
         return self.N < self.d
 
 
+def _complex_gaussian(rng, shape):
+    """The bytes of ``(A + 1j*B) / np.sqrt(2.0)`` for standard normal A then B.
+
+    numpy divides a complex array by a real scalar as a product with
+    1/sqrt(2), so each part is that product, written into the frame in
+    place: B is drawn into A's buffer and no complex temporary is made.
+    """
+    frame = np.empty(shape, dtype=complex)
+    part = rng.standard_normal(shape)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(part, scale, out=frame.real)
+    rng.standard_normal(out=part)
+    np.multiply(part, scale, out=frame.imag)
+    return frame
+
+
 def gaussian_ensemble(d, N, field="complex", seed=0):
     """Frame of N i.i.d. Gaussian columns in dimension d, fixed by ``seed``."""
     if d < 1 or N < 1:
         raise ValueError("d and N must be >= 1")
     rng = rng_stream(seed, 0xE5)
     if field == "complex":
-        frame = (rng.standard_normal((d, N)) + 1j * rng.standard_normal((d, N))) / np.sqrt(2.0)
-        kind = "gaussian_complex"
+        frame = _complex_gaussian(rng, (d, N))
     elif field == "real":
         frame = rng.standard_normal((d, N))
-        kind = "gaussian_real"
     else:
         raise ValueError(f"unknown field {field!r}")
     frame.setflags(write=False)
-    return Ensemble(kind=kind, d=d, N=N, seed=int(seed), frame=frame)
+    return Ensemble(frame=frame)
 
 
 def cdp_ensemble(d, L, seed=0):
@@ -109,7 +128,7 @@ def cdp_ensemble(d, L, seed=0):
     idx = rng.choice(CDP_ATOMS.size, size=(L, d), p=CDP_ATOM_PROBS)
     masks = CDP_ATOMS[idx]
     masks.setflags(write=False)
-    return Ensemble(kind="cdp", d=d, N=L * d, seed=int(seed), masks=masks)
+    return Ensemble(masks=masks)
 
 
 def _check_signal(e, v):
@@ -126,7 +145,7 @@ def forward(e, v, out=None):
     map costs O(L d log d).
     """
     v = _check_signal(e, v)
-    if e.kind == "cdp":
+    if e.masks is not None:
         blocks = None if out is None else out.reshape(e.L, e.d)
         return np.fft.fft(np.conj(e.masks) * v[None, :], axis=1, out=blocks).ravel()
     if e.frame.dtype.kind != "c":
@@ -147,7 +166,7 @@ def adjoint(e, w, out=None):
     w = np.asarray(w)
     if w.ndim != 1 or w.shape[0] != e.N:
         raise ValueError(f"weight vector of shape {w.shape} does not match N={e.N}")
-    if e.kind == "cdp":
+    if e.masks is not None:
         blocks = w.reshape(e.L, e.d)
         return (e.masks * (e.d * np.fft.ifft(blocks, axis=1))).sum(axis=0, out=out)
     return np.matmul(e.frame, w, out)
@@ -188,7 +207,7 @@ def check_intensities(e, b):
 
 def dense_frame(e):
     """The frame as an explicit (d, N) matrix; CDP columns are materialized."""
-    if e.kind != "cdp":
+    if e.masks is None:
         return e.frame
     t = np.arange(e.d)
     kernel = np.exp(2j * np.pi * np.outer(t, t) / e.d)  # kernel[t, q]
@@ -198,7 +217,7 @@ def dense_frame(e):
 
 def sum_column_norms_sq(e):
     """Sum_n ||f_n||^2, computed from the stored payload."""
-    if e.kind == "cdp":
+    if e.masks is not None:
         # each DFT row has unit-magnitude entries, so ||G_p f_q||^2 = ||g_p||^2
         return float(e.d * np.sum(np.abs(e.masks) ** 2))
     return float(np.sum(np.abs(e.frame) ** 2))
@@ -221,7 +240,7 @@ def frame_top_eigenpair(e):
     top eigenvector is a standard basis vector; Gaussian frames take the top
     eigenpair of the d x d matrix F F^*.
     """
-    if e.kind == "cdp":
+    if e.masks is not None:
         diagonal = e.d * np.sum(np.abs(e.masks) ** 2, axis=0)
         t = int(np.argmax(diagonal))
         top = np.zeros(e.d, dtype=complex)

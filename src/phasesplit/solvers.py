@@ -67,7 +67,7 @@ class Schedules:
     """
 
     tau0: float
-    mu_max: float
+    mu_max: float  # in (0, 1]: the ramp never exceeds 1
     lam0: float = 0.0
     lam_decay: float = 0.0
     step_scaling: str = "by_theta_squared"  # or "raw"
@@ -77,6 +77,8 @@ class Schedules:
             raise ValueError("tau0, mu_max, lam0 and lam_decay must be finite")
         if self.tau0 <= 0 or self.mu_max <= 0:
             raise ValueError("tau0 and mu_max must be positive")
+        if self.mu_max > 1:
+            raise ValueError(f"mu_max {self.mu_max!r} exceeds 1, which the step ramp never reaches")
         if self.lam0 < 0 or self.lam_decay < 0:
             raise ValueError("lam0 and lam_decay must be nonnegative")
         if self.step_scaling not in ("by_theta_squared", "raw"):

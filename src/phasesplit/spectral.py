@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import l2_norm, rng_stream
+from .core import l2_norm
 from .measurement import adjoint, check_intensities, forward, random_vector, sum_column_norms_sq
 
 __all__ = ["InitResult", "apply_spectral_matrix", "power_iteration", "spectral_init"]
@@ -50,17 +50,14 @@ def power_iteration(apply, v, iters):
     return rayleigh, v
 
 
-def spectral_init(e, b, iters=50, rng=None):
+def spectral_init(e, b, iters=50, *, rng):
     """Power iteration on the data covariance, scaled to norm theta.
 
-    ``rng`` seeds the random start vector; by default a stream derived from
-    the ensemble's own seed is used so the result is reproducible.
+    ``rng`` draws the random start vector; the caller seeds it.
     """
     b = check_intensities(e, b)
     if not np.any(b > 0):
         raise ValueError("all-zero intensities carry no direction information")
-    if rng is None:
-        rng = rng_stream(e.seed, 0x171)
     rayleigh, v = power_iteration(lambda u: apply_spectral_matrix(e, b, u), random_vector(e, rng), iters)
     theta = float(np.sqrt(e.d * float(np.sum(b)) / sum_column_norms_sq(e)))
     return InitResult(

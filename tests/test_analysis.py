@@ -68,7 +68,7 @@ class TestFdGradientCheck:
 
 class TestFrameBound:
     def test_identity_frame_is_tight_everywhere(self):
-        e = Ensemble(kind="gaussian_real", d=5, N=5, seed=0, frame=np.eye(5))
+        e = Ensemble(frame=np.eye(5))
         rep = frame_bound_check(e, trials=200, rng=rng_stream(5))
         assert rep.violations == 0
         assert rep.bound == pytest.approx(1.0, rel=1e-9)

@@ -143,6 +143,18 @@ class TestPhaseTransition:
         assert rows[0].successes == 0  # N = d carries too little information
         assert rows[1].successes == 4
 
+    def test_success_rate_is_read_off_the_counts(self):
+        rows = [
+            bench.PhaseTransitionRow(ratio=4.5, trials=3, successes=2, mean_rel_error=1e-12),
+            bench.PhaseTransitionRow(ratio=6.0, trials=20, successes=7, mean_rel_error=float("inf")),
+        ]
+        assert [r.success_rate for r in rows] == [2 / 3, 7 / 20]
+        assert bench.phase_transition_csv(rows) == (
+            "ratio,trials,successes,success_rate,mean_rel_error\n"
+            "4.5,3,2,0.6666666666666666,1e-12\n"
+            "6.0,20,7,0.35,inf\n"
+        )
+
     def test_monotone_success_rate(self):
         cfg = tiny_phase_config(d=24, grid=(1.5, 8.0), trials=4, iterations=600)
         rows = bench.run_phase_transition(cfg)
@@ -470,6 +482,8 @@ class TestCli:
             ("phase-transition", "iterations=1\n", "iterations must be >= 2"),
             ("phase-transition", "success_threshold=nan\n", "success_threshold"),
             ("phase-transition", "alt_mu_max=nan\n", "finite"),
+            ("phase-transition", "alt_mu_max=2\n", "exceeds 1"),
+            ("converge", "wf_mu_max=1.5\n", "exceeds 1"),
             ("converge", "model=gaussian_real\n", "unknown model"),
             ("image", "preset=image_small\nimage_rounds=20,20\n", "strictly increasing"),
             ("image", "preset=image_small\nimage_rounds=20,10\n", "strictly increasing"),

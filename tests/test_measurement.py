@@ -26,7 +26,7 @@ from phasesplit.measurement import (
 
 def identity_ensemble(d):
     frame = np.eye(d)
-    return Ensemble(kind="gaussian_real", d=d, N=d, seed=0, frame=frame)
+    return Ensemble(frame=frame)
 
 
 class TestConstruction:
@@ -62,6 +62,48 @@ class TestConstruction:
             gaussian_ensemble(0, 4)
         with pytest.raises(ValueError):
             cdp_ensemble(4, 0)
+
+
+class TestPayloadContract:
+    """An ensemble is its frame or its masks; every other attribute is read off it."""
+
+    def test_needs_exactly_one_payload(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            Ensemble()
+        with pytest.raises(ValueError, match="exactly one"):
+            Ensemble(frame=np.eye(2), masks=np.ones((1, 2)))
+
+    @pytest.mark.parametrize("make, d, N, is_complex, L", [
+        (lambda: gaussian_ensemble(6, 10, field="real", seed=1), 6, 10, False, None),
+        (lambda: gaussian_ensemble(6, 10, seed=1), 6, 10, True, None),
+        (lambda: cdp_ensemble(8, 3, seed=1), 8, 24, True, 3),
+        (lambda: Ensemble(frame=np.eye(3) + 0j), 3, 3, True, None),
+        (lambda: Ensemble(frame=np.ones((2, 5))), 2, 5, False, None),
+    ])
+    def test_attributes_follow_payload(self, make, d, N, is_complex, L):
+        for e in (make(), pickle.loads(pickle.dumps(make()))):
+            assert (e.d, e.N, e.is_complex) == (d, N, is_complex)
+            if L is None:
+                with pytest.raises(ValueError, match="not a CDP"):
+                    e.L
+            else:
+                assert e.L == L
+
+    def test_no_tag_or_seed_is_stored(self):
+        for e in (gaussian_ensemble(4, 8, seed=3), cdp_ensemble(4, 2, seed=3)):
+            assert not hasattr(e, "kind") and not hasattr(e, "seed")
+
+    def test_size_fields_are_not_constructor_values(self):
+        with pytest.raises(TypeError):
+            Ensemble(frame=np.eye(2), d=2, N=2)
+
+    @pytest.mark.parametrize("shape", [(128, 384), (128, 576), (16, 64), (7, 3), (1, 3), (1, 1)])
+    def test_complex_frame_bytes_match_two_draw_expression(self, shape):
+        for seed in range(5):
+            rng = rng_stream(seed, 0xE5)
+            expected = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+            e = gaussian_ensemble(*shape, seed=seed)
+            assert _same_bytes(e.frame, expected)
 
 
 class TestCdpMasks:
@@ -159,7 +201,7 @@ class TestForwardAdjoint:
 def _direct_complex_ensemble(d=8, N=20):
     rng = rng_stream(21, 0)
     frame = rng.standard_normal((d, N)) + 1j * rng.standard_normal((d, N))
-    return Ensemble(kind="gaussian_complex", d=d, N=N, seed=0, frame=frame)
+    return Ensemble(frame=frame)
 
 
 def _same_bytes(a, b):
@@ -205,7 +247,7 @@ class TestConjugateFrame:
         # small exact values make exact zero sums, where the sign of zero shows
         frame_re, frame_im, v_re, v_im = parts
         frame = frame_re + 1j * frame_im if field == "complex" else frame_re
-        e = Ensemble(kind=f"gaussian_{field}", d=frame.shape[0], N=frame.shape[1], seed=0, frame=frame)
+        e = Ensemble(frame=frame)
         v = {"real": v_re, "complex": v_re + 1j * v_im, "zero_imag": v_re + 0j}[v_kind]
         assert _same_bytes(forward(e, v), frame.conj().T @ v)
 
@@ -298,7 +340,7 @@ class TestFrameBound:
     def test_repeated_column(self):
         frame = np.zeros((4, 2))
         frame[0, :] = 1.0
-        e = Ensemble(kind="gaussian_real", d=4, N=2, seed=0, frame=frame)
+        e = Ensemble(frame=frame)
         assert upper_frame_bound(e) == pytest.approx(2.0, rel=1e-9)
 
     def test_matches_dense_eigensolver(self):

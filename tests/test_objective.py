@@ -17,7 +17,7 @@ from phasesplit.objective import (
 
 def scalar_ensemble(f):
     frame = np.array([[float(f)]])
-    return Ensemble(kind="gaussian_real", d=1, N=1, seed=0, frame=frame)
+    return Ensemble(frame=frame)
 
 
 def random_instance(seed, d=8, N=40, field="complex"):
@@ -203,7 +203,7 @@ class TestQuadForms:
         b = measure(e, x0)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        dense = Ensemble(kind="gaussian_complex", d=8, N=e.N, seed=0, frame=dense_frame(e))
+        dense = Ensemble(frame=dense_frame(e))
         assert split_loss(e, x, y, b, 0.2) == pytest.approx(
             split_loss(dense, x, y, b, 0.2), rel=1e-10
         )

@@ -120,6 +120,9 @@ class TestSchedules:
             Schedules(tau0=1.0, mu_max=0.2, lam0=-1.0)
         with pytest.raises(ValueError):
             Schedules(tau0=1.0, mu_max=0.2, step_scaling="weird")
+        with pytest.raises(ValueError, match="exceeds 1"):
+            Schedules(tau0=1.0, mu_max=1.5)
+        Schedules(tau0=1.0, mu_max=1.0)
         with pytest.raises(ValueError):
             SolverConfig(max_rounds=0, schedules=WF)
         with pytest.raises(ValueError):
@@ -236,7 +239,7 @@ class TestAltminSolve:
 
     def test_divergence_is_reported_not_raised(self):
         e, x0, b, init = instance(11)
-        wild = Schedules(tau0=1e-9, mu_max=10.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
+        wild = Schedules(tau0=1e-9, mu_max=1.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=200, schedules=wild))
         assert res.diverged and not res.converged
         assert all(np.isfinite(row.objective) for row in res.trace)
@@ -310,7 +313,7 @@ class TestTraceRounds:
         elif run == "early_stop":
             cfg = SolverConfig(max_rounds=2000, schedules=sched, mode="exact_linesearch", stop_tolerance=1e-6)
         else:
-            sched = Schedules(tau0=1e-9, mu_max=10.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
+            sched = Schedules(tau0=1e-9, mu_max=1.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
             cfg = SolverConfig(max_rounds=200, schedules=sched)
         res = solve(e, b, init.z0, cfg, truth=x0)
         assert (run == "early_stop") == res.converged and (run == "diverged") == res.diverged
@@ -477,7 +480,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
     def test_matches_reference_when_diverging(self, solve, reference, sched):
         e, x0, b, z0 = _frame_instance("gaussian_complex")
-        wild = Schedules(tau0=1e-9, mu_max=10.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
+        wild = Schedules(tau0=1e-9, mu_max=1.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
         cfg = SolverConfig(max_rounds=200, schedules=wild)
         got = solve(e, b, z0, cfg, truth=x0)
         assert got.diverged

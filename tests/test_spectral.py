@@ -9,7 +9,7 @@ from phasesplit.spectral import apply_spectral_matrix, power_iteration, spectral
 def single_column_ensemble():
     frame = np.zeros((4, 1))
     frame[0, 0] = 1.0
-    return Ensemble(kind="gaussian_real", d=4, N=1, seed=0, frame=frame)
+    return Ensemble(frame=frame)
 
 
 class TestApplySpectralMatrix:
@@ -132,3 +132,11 @@ class TestSpectralInit:
         e = gaussian_ensemble(4, 12, seed=11)
         with pytest.raises(ValueError, match="integer"):
             spectral_init(e, np.ones(12), iters=iters, rng=rng_stream(11))
+
+    def test_start_stream_is_the_callers(self):
+        e = gaussian_ensemble(4, 12, seed=12)
+        b = measure(e, rng_stream(12, 1).standard_normal(4))
+        with pytest.raises(TypeError):
+            spectral_init(e, b)
+        with pytest.raises(TypeError):
+            spectral_init(e, b, 50, rng_stream(12, 2))
