@@ -53,10 +53,10 @@ def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, rng=None):
     Directional derivatives are compared along 20 random real directions
     (plus 20 imaginary ones for complex signals); the deviation is relative
     where the derivatives are O(1) or larger and absolute near a critical
-    point.
+    point. A NaN deviation makes the result NaN.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     if rng is None:
         rng = rng_stream(0, 0xFD)
 
@@ -87,20 +87,19 @@ def fd_gradient_check(kind, e, point, b, lam=0.0, h=1e-5, rng=None):
         raise ValueError(f"unknown gradient kind {kind!r}")
 
     complex_mode = np.iscomplexobj(base)
-    worst = 0.0
+    deviations = []
     for direction in _fd_directions(base.shape[0], complex_mode, rng):
         numeric = (value(base + h * direction) - value(base - h * direction)) / (2.0 * h)
         analytic = float(np.real(np.vdot(grad, direction)))
-        deviation = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
-        worst = max(worst, deviation)
-    return worst
+        deviations.append(abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0))
+    return float(np.max(deviations))
 
 
 @dataclass
 class FrameBoundReport:
     bound: float  # largest eigenvalue of F F^*
-    worst_slack: float  # max over trials of lhs - bound*||u|| ||v|| (<= 0 when ok)
-    violations: int  # trials where the slack exceeded 1e-8
+    worst_slack: float  # max over trials of lhs - bound*||u|| ||v|| (<= 0 when ok; NaN if any is)
+    violations: int  # trials where the slack was not <= 1e-8 (NaN counts)
     equality_gap: float  # relative gap at the top eigenvector (tight case)
 
 
@@ -116,17 +115,14 @@ def frame_bound_check(e, trials, rng=None):
         rng = rng_stream(0, 0xFB)
     bound, top = frame_top_eigenpair(e)
 
-    worst = -np.inf
-    violations = 0
+    slacks = []
     for _ in range(trials):
         u = random_vector(e, rng)
         v = random_vector(e, rng)
         lhs = float(np.sum(np.abs(forward(e, u)) * np.abs(forward(e, v))))
-        rhs = bound * float(np.linalg.norm(u) * np.linalg.norm(v))
-        slack = lhs - rhs
-        worst = max(worst, slack)
-        if slack > 1e-8:
-            violations += 1
+        slacks.append(lhs - bound * float(np.linalg.norm(u) * np.linalg.norm(v)))
+    worst = float(np.max(slacks))
+    violations = sum(not slack <= 1e-8 for slack in slacks)
 
     tight_lhs = float(np.sum(np.abs(forward(e, top)) ** 2))  # ||top|| = 1
     equality_gap = abs(tight_lhs - bound) / bound
@@ -178,7 +174,10 @@ def speedup_diagnostic(e, x0, perturbation, rng=None):
         raise ValueError("perturbation must be in (0, 1e-3]")
     if rng is None:
         rng = rng_stream(0, 0x5D)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0)
+    if np.any(np.imag(x0)):
+        raise ValueError("x0 has a nonzero imaginary part, but the frame is real")
+    x0 = x0.real.astype(float, copy=False)
     delta = rng.standard_normal(e.d)
     delta *= perturbation * np.linalg.norm(x0) / np.linalg.norm(delta)
     point = x0 + delta
@@ -208,8 +207,9 @@ def monotonicity_audit(trace):
     """Scan objective values for an uptick beyond 1e-12 * (1 + |value|).
 
     Accepts a solve result or any sequence of objective values. Returns
-    ``(ok, first_violation_index)`` with the index of the first offending
-    entry, or ``(True, None)`` for a clean trace.
+    ``(ok, first_violation_index)`` with the index of the first entry that is
+    not ``<=`` its allowed bound (a NaN on either side is one), or
+    ``(True, None)`` for a clean trace.
     """
     if hasattr(trace, "trace"):
         values = [row.objective for row in trace.trace]
@@ -217,6 +217,6 @@ def monotonicity_audit(trace):
         values = list(trace)
     for i in range(1, len(values)):
         allowed = values[i - 1] + 1e-12 * (1.0 + abs(values[i - 1]))
-        if values[i] > allowed:
+        if not values[i] <= allowed:
             return False, i
     return True, None

@@ -37,7 +37,6 @@ __all__ = [
     "PhaseTransitionRow",
     "PRESETS",
     "parse_config",
-    "config_from_file",
     "run_phase_transition",
     "phase_transition_csv",
     "run_convergence_curve",
@@ -76,6 +75,10 @@ class ExperimentConfig:
     image_path: str = ""
     image_L: int = 15
     image_rounds: tuple = (100, 125, 150)
+
+    def __post_init__(self):
+        # valid by construction: every constructor call and replace() checks
+        self.validate()
 
     def validate(self):
         # one rule set whatever runs the config: experiment is only a label
@@ -148,21 +151,20 @@ PRESETS = {
     ),
 }
 
-_SCHEDULE_KEYS = {
+# config-file key -> (schedule it sets, or None for the config itself; field; parser).
+# Every field with a plain int, float or str default parses by that type; not
+# experiment, because the subcommand names the run.
+_KEYS = {
+    **{f.name: (None, f.name, type(f.default)) for f in fields(ExperimentConfig)
+       if isinstance(f.default, (int, float, str)) and f.name != "experiment"},
+    "grid": (None, "grid", lambda v: tuple(float(g) for g in v.split(","))),
+    "image_rounds": (None, "image_rounds", lambda v: tuple(int(n) for n in v.split(","))),
     "alt_tau0": ("alt", "tau0", float),
     "alt_mu_max": ("alt", "mu_max", float),
     "alt_lam0": ("alt", "lam0", float),
     "alt_lam_decay": ("alt", "lam_decay", float),
     "wf_tau0": ("wf", "tau0", float),
     "wf_mu_max": ("wf", "mu_max", float),
-}
-
-# every config field with a plain int, float or str default, parsed by that type;
-# not experiment, because the subcommand names the run
-_SCALAR_KEYS = {
-    f.name: type(f.default)
-    for f in fields(ExperimentConfig)
-    if isinstance(f.default, (int, float, str)) and f.name != "experiment"
 }
 
 
@@ -181,30 +183,14 @@ def parse_config(text):
         pairs[key] = value
 
     cfg = PRESETS[pairs.pop("preset")] if "preset" in pairs else ExperimentConfig()
-    updates = {}
-    sched_updates = {"alt": {}, "wf": {}}
+    updates = {None: {}, "alt": {}, "wf": {}}
     for key, value in pairs.items():
-        if key in _SCALAR_KEYS:
-            updates[key] = _SCALAR_KEYS[key](value)
-        elif key in _SCHEDULE_KEYS:
-            target, fname, conv = _SCHEDULE_KEYS[key]
-            sched_updates[target][fname] = conv(value)
-        elif key == "grid":
-            updates["grid"] = tuple(float(v) for v in value.split(","))
-        elif key == "image_rounds":
-            updates["image_rounds"] = tuple(int(v) for v in value.split(","))
-        else:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    if sched_updates["alt"]:
-        updates["alt"] = replace(cfg.alt, **sched_updates["alt"])
-    if sched_updates["wf"]:
-        updates["wf"] = replace(cfg.wf, **sched_updates["wf"])
-    return replace(cfg, **updates).validate()
-
-
-def config_from_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        target, name, parse = _KEYS[key]
+        updates[target][name] = parse(value)
+    schedules = {t: replace(getattr(cfg, t), **updates[t]) for t in ("alt", "wf") if updates[t]}
+    return replace(cfg, **updates[None], **schedules)
 
 
 def _usable_cpus():
@@ -297,7 +283,6 @@ class PhaseTransitionRow:
 
 def run_phase_transition(cfg):
     """Success-rate sweep over the config grid; returns one row per grid point."""
-    cfg.validate()
     tasks = [(grid_value, gi, ti) for gi, grid_value in enumerate(cfg.grid) for ti in range(cfg.trials)]
     trial = partial(_trial_error, cfg)
     workers = min(cfg.workers, _usable_cpus())
@@ -344,7 +329,6 @@ def run_convergence_curve(cfg):
     matched with one alternating round counting as two iterations. Gaussian
     models run at N = 4.5 d; CDP uses the largest mask count in the grid.
     """
-    cfg.validate()
     grid_value = cfg.grid[-1] if cfg.model == "cdp" else 4.5
     e, x0 = _synthetic_instance(cfg, grid_value, 0, 0)
     b, z0 = _measure_and_start(cfg, e, x0, 0, 0)
@@ -404,7 +388,6 @@ def run_image_experiment(cfg, out_dir=None):
     pools the per-channel distances over all channels. Recovered channels
     (at the largest n) are written as PGM/PPM when ``out_dir`` is given.
     """
-    cfg.validate()
     if not cfg.image_path:
         raise ValueError("image experiment needs image_path")
     image = load_image(cfg.image_path)

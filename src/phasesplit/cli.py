@@ -47,11 +47,11 @@ def _build_parser():
 
 def _load_config(args):
     if args.config:
-        cfg = bench.config_from_file(args.config)
-    elif args.preset:
-        cfg = bench.PRESETS[args.preset]
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
     else:
-        cfg = bench.ExperimentConfig()
+        text = f"preset={args.preset}" if args.preset else ""
+    cfg = bench.parse_config(text)
     updates = {"experiment": args.command.replace("-", "_")}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -59,7 +59,7 @@ def _load_config(args):
         updates["trials"] = args.trials
     if getattr(args, "image", None):
         updates["image_path"] = args.image
-    return replace(cfg, **updates).validate()
+    return replace(cfg, **updates)
 
 
 def main(argv=None):

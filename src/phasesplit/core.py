@@ -7,6 +7,7 @@ seed reproduces the same draws byte-for-byte on every platform.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -59,7 +60,12 @@ def l2_norm(v):
 def _best_phase(x, y):
     ip = np.vdot(y, x)
     a = abs(ip)
-    return 1.0 + 0.0j if a == 0.0 else ip / a
+    if a == 0.0:
+        return 1.0 + 0.0j
+    c = ip / a
+    # numpy's complex division overflows to NaN when a is subnormal; the
+    # parts divided one by one stay finite there
+    return c if cmath.isfinite(c) else complex(ip.real / a, ip.imag / a)
 
 
 def _phase_dist(x, y):

@@ -68,6 +68,8 @@ class Ensemble:
     def __post_init__(self):
         if (self.frame is None) == (self.masks is None):
             raise ValueError("an ensemble holds exactly one of frame and masks")
+        if np.ndim(self.frame if self.masks is None else self.masks) != 2:
+            raise ValueError("frame must be a (d, N) array and masks an (L, d) array")
         d, n = self.frame.shape if self.masks is None else (self.masks.shape[1], self.masks.size)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "N", n)

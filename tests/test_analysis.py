@@ -60,6 +60,23 @@ class TestFdGradientCheck:
             mod.wf_grad = original
         assert bad > 1.0
 
+    def test_nan_gradient_is_reported_as_nan(self, monkeypatch):
+        # a NaN deviation must not be lost in the running max as a perfect 0.0
+        from phasesplit import analysis as mod
+
+        e = gaussian_ensemble(8, 40, seed=1)
+        rng = rng_stream(1, 1)
+        z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        b = measure(e, z)
+        monkeypatch.setattr(mod, "wf_grad", lambda e, z, b: np.full(z.shape, np.nan + 0j))
+        assert np.isnan(fd_gradient_check("wf", e, z, b, rng=rng_stream(1, 2)))
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+    def test_step_must_be_positive_and_finite(self, h):
+        e = gaussian_ensemble(4, 8, seed=4)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fd_gradient_check("wf", e, np.ones(4, dtype=complex), np.ones(8), h=h)
+
     def test_rejects_unknown_kind(self):
         e = gaussian_ensemble(4, 8, seed=4)
         with pytest.raises(ValueError):
@@ -92,6 +109,14 @@ class TestFrameBound:
         assert np.linalg.norm(7.0 * u) * np.linalg.norm(v) == pytest.approx(
             7.0 * np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12
         )
+
+    def test_nan_slack_is_a_violation(self, monkeypatch):
+        from phasesplit import analysis as mod
+
+        monkeypatch.setattr(mod, "forward", lambda e, v: np.full(e.N, np.nan + 0j))
+        rep = frame_bound_check(gaussian_ensemble(4, 8, seed=8), trials=5)
+        assert rep.violations == 5
+        assert np.isnan(rep.worst_slack)
 
     def test_needs_positive_trials(self):
         with pytest.raises(ValueError):
@@ -195,6 +220,16 @@ class TestSpeedupDiagnostic:
         with pytest.raises(ValueError):
             speedup_diagnostic(e, rng_stream(16, 1).standard_normal(16), 1e-3)
 
+    def test_complex_start_on_real_frame_rejected(self):
+        # as in _solve: the imaginary part is not silently dropped
+        e = gaussian_ensemble(16, 128, field="real", seed=16)
+        x0 = rng_stream(16, 1).standard_normal(16)
+        with pytest.raises(ValueError, match="nonzero imaginary part, but the frame is real"):
+            speedup_diagnostic(e, x0 + 1e-3j, 1e-3)
+        # a complex dtype with zero imaginary part is the real start
+        real = speedup_diagnostic(e, x0, 1e-3, rng=rng_stream(16, 2))
+        assert speedup_diagnostic(e, x0 + 0j, 1e-3, rng=rng_stream(16, 2)) == real
+
     def test_concentration_does_not_worsen_with_oversampling(self):
         # with x == y the ratio is 2/3 identically, so both spreads sit at
         # rounding level; assert the wide ensemble is no looser than tight
@@ -217,6 +252,10 @@ class TestMonotonicityAudit:
     def test_flags_first_uptick(self):
         ok, idx = monotonicity_audit([5.0, 4.0, 4.5, 3.0, 3.5])
         assert not ok and idx == 2
+
+    @pytest.mark.parametrize("values, idx", [([1.0, np.nan, 2.0], 1), ([np.nan, 1.0], 1), ([3.0, 2.0, np.nan], 2)])
+    def test_nan_is_an_uptick(self, values, idx):
+        assert monotonicity_audit(values) == (False, idx)
 
     def test_tolerates_rounding_slack(self):
         ok, _ = monotonicity_audit([1.0, 1.0 + 1e-13])

@@ -104,14 +104,15 @@ class TestConfigParsing:
         ({"iterations": 1}, "iterations must be >= 2"),
         ({"model": "cdp", "grid": (4.5,)}, "mask counts"),
     ])
-    def test_one_rule_set_for_every_runner(self, tmp_path, overrides, match):
-        cfg = replace(bench.PRESETS["image_small"], image_path=gradient_pgm(tmp_path), **overrides)
-        messages = set()
-        for run in (bench.run_phase_transition, bench.run_convergence_curve, bench.run_image_experiment):
-            with pytest.raises(ValueError, match=match) as exc:
-                run(cfg)
-            messages.add(str(exc.value))
-        assert len(messages) == 1
+    def test_one_rule_set_for_every_runner(self, overrides, match):
+        # an invalid config cannot be built, so no runner can receive one
+        with pytest.raises(ValueError, match=match):
+            replace(bench.PRESETS["image_small"], **overrides)
+
+    @pytest.mark.parametrize("name", sorted(bench.PRESETS))
+    def test_replace_validates_every_preset(self, name):
+        with pytest.raises(ValueError, match="d must be"):
+            replace(bench.PRESETS[name], d=15)
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -122,9 +123,11 @@ class TestConfigParsing:
             bench.parse_config("grid=4,4\n")
 
     def test_scalar_keys_cover_plain_fields(self):
-        assert set(bench._SCALAR_KEYS) == {
-            "model", "signal", "algo", "d", "trials", "iterations", "seed",
-            "workers", "success_threshold", "stop_tol", "power_iters", "image_path", "image_L",
+        config_keys = {key: name for key, (target, name, _) in bench._KEYS.items() if target is None}
+        assert all(key == name for key, name in config_keys.items())
+        assert set(config_keys) == {
+            "model", "signal", "algo", "d", "trials", "iterations", "seed", "workers",
+            "success_threshold", "stop_tol", "power_iters", "image_path", "image_L", "grid", "image_rounds",
         }
         assert bench.parse_config("stop_tol=1e-6\nimage_L=3\n").stop_tol == 1e-6
 
@@ -217,10 +220,9 @@ class TestPhaseTransition:
         assert len(caplog.records) == 1 and "OpenBLAS" in caplog.records[0].getMessage()
 
     def test_validates_as_phase_transition(self):
-        # the runner validates the config it is given, label and all
-        cfg = bench.ExperimentConfig(model="cdp", grid=(4.5,), d=16, trials=1, iterations=20)
+        # the config checks itself when built, so the runner never sees it
         with pytest.raises(ValueError, match="mask counts"):
-            bench.run_phase_transition(cfg)
+            bench.ExperimentConfig(model="cdp", grid=(4.5,), d=16, trials=1, iterations=20)
 
     def test_wf_solver_selectable(self):
         cfg = tiny_phase_config(algo="wf", grid=(6.0,), iterations=800)
@@ -273,9 +275,8 @@ class TestConvergence:
         assert summary["wf_iterations"] == 2 * summary["alt_rounds"]
 
     def test_validates_as_converge(self):
-        cfg = bench.ExperimentConfig(model="cdp", grid=(4.5,), d=16, iterations=4)
         with pytest.raises(ValueError, match="mask counts"):
-            bench.run_convergence_curve(cfg)
+            bench.ExperimentConfig(model="cdp", grid=(4.5,), d=16, iterations=4)
 
     def test_deterministic(self):
         cfg = tiny_phase_config(experiment="converge", d=16, iterations=200, stop_tol=0.0)
@@ -376,6 +377,14 @@ class TestChecks:
         assert not ok
         failed = [e["name"] for e in entries if not e["passed"]]
         assert any(name.startswith("gradient") for name in failed)
+
+    def test_nan_gradient_fails_the_gradient_rows(self, monkeypatch):
+        from phasesplit import analysis
+
+        monkeypatch.setattr(analysis, "wf_grad", lambda e, z, b: np.full(z.shape, np.nan))
+        for name, bound, instrument in (row for row in checks.CHECKS if row[0].startswith("gradient")):
+            value = instrument()
+            assert np.isnan(value) and not checks.passes(value, bound), name
 
     def test_json_shape(self, check_run):
         import json
@@ -514,6 +523,15 @@ class TestCli:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: seed")
 
+    @pytest.mark.parametrize("name", sorted(bench.PRESETS))
+    def test_preset_flag_loads_like_a_preset_line(self, tmp_path, name):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"preset={name}\n")
+        parser = cli._build_parser()
+        by_flag = cli._load_config(parser.parse_args(["converge", "--preset", name]))
+        by_file = cli._load_config(parser.parse_args(["converge", "--config", str(cfg_path)]))
+        assert by_flag == by_file == replace(bench.PRESETS[name], experiment="converge")
+
     def test_config_and_preset_are_exclusive(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("d=16\n")
@@ -577,7 +595,7 @@ class TestReadmeConfigDocs:
         keys = set(re.findall(r"^(\w+)=", section.split("```")[1], re.M))
         other = re.sub(r"\([^)]*\)", "", section.split("Other keys:", 1)[1])  # drop the value lists
         keys |= set(re.findall(r"`(\w+)`", other))
-        accepted = set(bench._SCALAR_KEYS) | set(bench._SCHEDULE_KEYS) | {"grid", "image_rounds", "preset"}
+        accepted = set(bench._KEYS) | {"preset"}
         assert keys == accepted
 
     def test_presets_table_names_every_preset(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -118,9 +118,12 @@ class TestBitwiseNorms:
     def reference_relative_error(x, y):
         ip = np.vdot(y, x)
         c = 1.0 + 0.0j if abs(ip) == 0.0 else ip / abs(ip)
+        if not np.isfinite(c):  # a subnormal |<y, x>|
+            c = complex(ip.real / abs(ip), ip.imag / abs(ip))
         return np.linalg.norm(x - c * y) / np.linalg.norm(x)
 
     @given(_vector_pairs())
+    @example((np.array([6.69967432e-53j]), np.array([5.26801553e-262 + 0j])))  # <y, x> is subnormal
     @settings(max_examples=300, deadline=None)
     def test_relative_error_matches_linalg_norm(self, pair):
         x, y = pair

@@ -89,6 +89,17 @@ class TestPayloadContract:
             else:
                 assert e.L == L
 
+    @pytest.mark.parametrize("payload", [
+        {"masks": np.ones((2, 3, 4))},
+        {"masks": np.ones(3)},
+        {"frame": np.ones(3)},
+        {"frame": np.ones((2, 3, 4))},
+        {"frame": np.float64(1.0)},
+    ])
+    def test_payload_must_be_two_dimensional(self, payload):
+        with pytest.raises(ValueError, match=r"\(d, N\) array and masks an \(L, d\) array"):
+            Ensemble(**payload)
+
     def test_no_tag_or_seed_is_stored(self):
         for e in (gaussian_ensemble(4, 8, seed=3), cdp_ensemble(4, 2, seed=3)):
             assert not hasattr(e, "kind") and not hasattr(e, "seed")
