@@ -7,7 +7,6 @@ seed reproduces the same draws byte-for-byte on every platform.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -57,15 +56,19 @@ def l2_norm(v):
     return math.sqrt(v.dot(v))
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _best_phase(x, y):
     ip = np.vdot(y, x)
     a = abs(ip)
     if a == 0.0:
         return 1.0 + 0.0j
-    c = ip / a
-    # numpy's complex division overflows to NaN when a is subnormal; the
-    # parts divided one by one stay finite there
-    return c if cmath.isfinite(c) else complex(ip.real / a, ip.imag / a)
+    if a < _TINY:
+        # numpy's complex division multiplies by 1/a, which overflows to NaN
+        # when a is subnormal; the parts divided one by one stay finite
+        return complex(ip.real / a, ip.imag / a)
+    return ip / a
 
 
 def _phase_dist(x, y):

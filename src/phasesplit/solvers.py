@@ -28,7 +28,7 @@ import numpy as np
 from .core import l2_norm, relative_error
 # adjoint is unused here but stays a module attribute: instrumentation
 # (phasebench/tracer.py) patches forward and adjoint in every namespace
-from .measurement import adjoint, check_intensities, forward, upper_frame_bound  # noqa: F401
+from .measurement import Ensemble, adjoint, check_intensities, forward, upper_frame_bound  # noqa: F401
 from .objective import (
     Residuals,
     residuals,
@@ -91,12 +91,19 @@ class SolverConfig:
     schedules: Schedules
     mode: str = "fixed_schedule"  # or "exact_linesearch"
     stop_tolerance: float | None = None  # None: always run the full budget
+    precision: str = "double"  # or "mixed": single-precision rounds down to their floor first
 
     def __post_init__(self):
         if not isinstance(self.max_rounds, (int, np.integer)) or self.max_rounds < 1:
             raise ValueError("max_rounds must be an integer >= 1")
         if self.mode not in ("fixed_schedule", "exact_linesearch"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.precision not in ("double", "mixed"):
+            raise ValueError(f"unknown precision {self.precision!r}")
+        if self.precision == "mixed" and self.mode == "exact_linesearch":
+            # near the switch the single-precision loss is noise as large as
+            # itself, so line-search traces would no longer be monotone
+            raise ValueError("mixed precision runs scheduled steps only, not exact_linesearch")
         tol = self.stop_tolerance
         if tol is not None and not (np.isfinite(tol) and tol >= 0):
             raise ValueError("stop_tolerance must be nonnegative and finite")
@@ -158,7 +165,70 @@ def _linesearch_step(sq_grad_norm, quad_form_value):
     return sq_grad_norm / (2.0 * quad_form_value)
 
 
-def _alt_rounds(e, b, z, cfg, scale):
+# A single-precision loss bottoms out near eps32^2 mean(b^2) (1.4-1.6e-14 of
+# mean(b^2) at d = 128). Ten times that is where its rounds still descend
+# like double precision's and the switch lands near relative error 1e-6.
+_KAPPA = 10.0
+_EPS32 = float(np.finfo(np.float32).eps)
+# float32 must hold the squares of residuals up to 1e3 times the largest intensity
+_HEADROOM = 1e6
+_SINGLE = {"c": np.complex64, "f": np.float32}
+_DOUBLE = {"c": np.complex128, "f": np.float64}
+
+
+def _single_floor(e, b):
+    """The loss at which a mixed solve leaves single precision, or None when
+    it runs in double precision throughout: on CDP ensembles, whose
+    complex64 FFTs are no faster, and where float32 cannot hold the squared
+    residuals."""
+    if e.masks is None:
+        f32 = np.finfo(np.float32)
+        peak = float(np.max(b))
+        level = _KAPPA * _EPS32**2 * float(np.mean(np.square(b)))
+        if peak <= math.sqrt(f32.max / _HEADROOM) and level >= f32.tiny:
+            return level
+    return None
+
+
+def _cast(arrays, table):
+    """Copies of ``arrays`` at the precision ``table`` maps each kind to; None stays None."""
+    return [None if a is None else a.astype(table[a.dtype.kind]) for a in arrays]
+
+
+class _Precision:
+    """When a mixed solve changes precision, read off the last round's loss.
+
+    After row 0 the rounds go down to single precision unless the loss is
+    already at ``level`` (None: never); once it reaches it they come back to
+    double precision for good. A change casts the round's arrays, keeping
+    their values, so it costs no matvec.
+    """
+
+    def __init__(self, e, b, level):
+        self.e, self.b, self.level = e, b, level
+        self.single = None  # the single-precision ensemble, once built
+
+    def due(self, value):
+        """Whether the round after one that ended at loss ``value`` changes precision."""
+        if self.level is None:
+            return False
+        if self.single is None:  # row 0
+            if value > self.level:
+                return True
+            self.level = None  # the start is already at the floor
+            return False
+        return value <= self.level
+
+    def cast(self, arrays):
+        """(ensemble, intensities, arrays) for the next round."""
+        if self.single is None:
+            self.single = Ensemble(frame=self.e.frame.astype(_SINGLE[self.e.frame.dtype.kind]))
+            return self.single, self.b.astype(_SINGLE[self.b.dtype.kind]), _cast(arrays, _SINGLE)
+        self.level = None
+        return self.e, self.b, _cast(arrays, _DOUBLE)
+
+
+def _alt_rounds(e, b, z, cfg, scale, level):
     """Alternating rounds from x = y = z (4 matvecs each, 6 with line search)."""
     sched = cfg.schedules
     x, y = z, z.copy()
@@ -167,8 +237,13 @@ def _alt_rounds(e, b, z, cfg, scale):
     b = b.astype(z.dtype)  # cast once here rather than by every r - b: the same values
     res = residuals(e, x, y, b, out=Residuals(r, fx, fy, weights, np.empty(e.N), np.empty(e.N), diff))
     lam = coupling_schedule(1, sched.lam0, sched.lam_decay)
-    yield TraceRow(0, split_loss(e, x, y, b, lam, res=res), 0.0, lam, None)
+    value = split_loss(e, x, y, b, lam, res=res)
+    yield TraceRow(0, value, 0.0, lam, None)
+    precision = _Precision(e, b, level)
     for tau in itertools.count(1):
+        if precision.due(value):
+            e, b, (x, y, gx, gy, update, mid, *parts) = precision.cast((x, y, gx, gy, update, mid, *vars(res).values()))
+            res = Residuals(*parts)
         lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
         split_grad_x(e, res, x, y, lam, out=gx)
         if cfg.mode == "exact_linesearch":
@@ -190,14 +265,19 @@ def _alt_rounds(e, b, z, cfg, scale):
         yield TraceRow(tau, value, alpha, lam, None), (gx, gy), (x, y, mid)
 
 
-def _wf_rounds(e, b, z, cfg, scale):
+def _wf_rounds(e, b, z, cfg, scale, level):
     """Flow iterations from z (2 matvecs each, 3 with line search)."""
     sched = cfg.schedules
     g, update = np.empty_like(z), np.empty_like(z)
     res = Residuals(np.empty(e.N), np.empty(e.N, z.dtype), None, np.empty(e.N, z.dtype), np.empty(e.N))
     wf_residuals(e, z, b, out=res)
-    yield TraceRow(0, wf_loss(e, z, b, res=res), 0.0, 0.0, None)
+    value = wf_loss(e, z, b, res=res)
+    yield TraceRow(0, value, 0.0, 0.0, None)
+    precision = _Precision(e, b, level)
     for tau in itertools.count(1):
+        if precision.due(value):
+            e, b, (z, g, update, *parts) = precision.cast((z, g, update, *vars(res).values()))
+            res = Residuals(*parts)
         wf_grad(e, z, b, res=res, out=g)
         if cfg.mode == "exact_linesearch":
             # step ||g||^2 / q, the minimizer of the flow's curvature model along g
@@ -207,15 +287,18 @@ def _wf_rounds(e, b, z, cfg, scale):
             delta = step_schedule(tau, sched.tau0, sched.mu_max) / (4.0 * scale)
         np.subtract(z, np.multiply(delta, g, update), z)
         wf_residuals(e, z, b, out=res)
-        yield TraceRow(tau, wf_loss(e, z, b, res=res), delta, 0.0, None), (g,), (z, z, z)
+        value = wf_loss(e, z, b, res=res)
+        yield TraceRow(tau, value, delta, 0.0, None), (g,), (z, z, z)
 
 
 def _solve(e, b, z0, cfg, truth, rounds):
     """The loop both solvers share: trace, divergence flag and stop rule.
 
-    ``rounds(e, b, z, cfg, scale)`` yields the trace row of the start, then
-    per round its row, the gradients it took and the (x, y, estimate) it
-    reached; rows come without their error, which is filled in here.
+    ``rounds(e, b, z, cfg, scale, level)`` yields the trace row of the start,
+    then per round its row, the gradients it took and the (x, y, estimate) it
+    reached; rows come without their error, which is filled in here. Under
+    mixed precision ``level`` is the loss at which single-precision rounds
+    end (None: double precision throughout).
     """
     b = check_intensities(e, b)
     z0 = np.asarray(z0)
@@ -232,7 +315,8 @@ def _solve(e, b, z0, cfg, truth, rounds):
             stacklevel=3,
         )
     z = (z0 if e.is_complex else z0.real).astype(complex if e.is_complex else float, copy=True)
-    steps = rounds(e, b, z, cfg, _step_scale(cfg.schedules, z0))
+    level = _single_floor(e, b) if cfg.precision == "mixed" else None
+    steps = rounds(e, b, z, cfg, _step_scale(cfg.schedules, z0), level)
 
     def rel(zv):
         return None if truth is None else relative_error(truth, zv)
@@ -262,6 +346,9 @@ def _solve(e, b, z0, cfg, truth, rounds):
                     converged = True
                     break
 
+    if z.dtype != _DOUBLE[z.dtype.kind]:  # stopped in single precision: cast each array once
+        double = {id(a): a.astype(_DOUBLE[a.dtype.kind]) for a in (x, y, z)}
+        x, y, z = (double[id(a)] for a in (x, y, z))
     return SolveResult(
         x_final=x,
         y_final=y,

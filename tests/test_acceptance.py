@@ -75,10 +75,11 @@ def test_02_operator_correctness():
         for _ in range(20):
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             w = rng.standard_normal(e.N) + 1j * rng.standard_normal(e.N)
+            # np.maximum keeps a NaN gap, as max(worst, nan) would not
             ref = dense.conj().T @ v
-            worst_fft = max(worst_fft, np.linalg.norm(forward(e, v) - ref) / np.linalg.norm(ref))
+            worst_fft = np.maximum(worst_fft, np.linalg.norm(forward(e, v) - ref) / np.linalg.norm(ref))
             ref_adj = dense @ w
-            worst_fft = max(
+            worst_fft = np.maximum(
                 worst_fft, np.linalg.norm(adjoint(e, w) - ref_adj) / np.linalg.norm(ref_adj)
             )
     worst_adj = 0.0
@@ -88,7 +89,7 @@ def test_02_operator_correctness():
             v = rng.standard_normal(e.d) + 1j * rng.standard_normal(e.d)
             w = rng.standard_normal(e.N) + 1j * rng.standard_normal(e.N)
             resid = abs(np.vdot(forward(e, v), w) - np.vdot(v, adjoint(e, w)))
-            worst_adj = max(resid / (np.linalg.norm(v) * np.linalg.norm(w) * np.sqrt(e.N)), worst_adj)
+            worst_adj = np.maximum(worst_adj, resid / (np.linalg.norm(v) * np.linalg.norm(w) * np.sqrt(e.N)))
     ok = worst_fft <= 1e-10 and worst_adj <= 1e-10
     report(2, ok, f"fft-vs-dense={worst_fft:.2e} adjointness={worst_adj:.2e} (tol 1e-10)")
 

@@ -117,9 +117,12 @@ class TestBitwiseNorms:
     @staticmethod
     def reference_relative_error(x, y):
         ip = np.vdot(y, x)
-        c = 1.0 + 0.0j if abs(ip) == 0.0 else ip / abs(ip)
-        if not np.isfinite(c):  # a subnormal |<y, x>|
+        if abs(ip) == 0.0:
+            c = 1.0 + 0.0j
+        elif abs(ip) < np.finfo(float).tiny:  # a subnormal |<y, x>|: ip / abs(ip) overflows
             c = complex(ip.real / abs(ip), ip.imag / abs(ip))
+        else:
+            c = ip / abs(ip)
         return np.linalg.norm(x - c * y) / np.linalg.norm(x)
 
     @given(_vector_pairs())

@@ -519,6 +519,49 @@ class TestRealFrameStart:
         _same_result(got, _reference_solve(e, b, z0 + 0j, cfg, x0, reference))
 
 
+@pytest.fixture
+def precisions(monkeypatch):
+    """The event log of a solve: the dtype of every matvec's frame and every
+    relative error the solver records, in order."""
+    log = []
+
+    def logged(fn):
+        def wrapper(e, *args, **kwargs):
+            log.append((e.frame if e.masks is None else e.masks).dtype)
+            return fn(e, *args, **kwargs)
+
+        return wrapper
+
+    for module in (solvers, objective):
+        for name in ("forward", "adjoint"):
+            monkeypatch.setattr(module, name, logged(getattr(module, name)))
+    rel = solvers.relative_error
+
+    def logged_rel(x, y):
+        log.append(rel(x, y))
+        return log[-1]
+
+    monkeypatch.setattr(solvers, "relative_error", logged_rel)
+    return log
+
+
+def _matvec_dtypes(log):
+    return [entry for entry in log if isinstance(entry, np.dtype)]
+
+
+def _switches(log):
+    """(relative error before, new dtype) at each change of matvec precision."""
+    changes, last, rel = [], None, None
+    for entry in log:
+        if not isinstance(entry, np.dtype):
+            rel = entry
+        elif entry != last:
+            if last is not None:
+                changes.append((rel, entry))
+            last = entry
+    return changes
+
+
 class TestCostModel:
     """Matvecs per round: the paper's iteration-matched budgets as counts."""
 
@@ -568,6 +611,23 @@ class TestCostModel:
 
         # the difference cancels the forwards at the starting point
         assert matvecs(7) - matvecs(2) == 5 * per_round
+
+    @pytest.mark.parametrize("solve, sched, per_round", [(altmin_solve, ALT, 4), (wf_solve, WF, 2)], ids=["alt", "wf"])
+    def test_matvecs_per_round_across_the_precision_switch(self, calls, precisions, solve, sched, per_round):
+        e, x0, b, init = instance(20)
+
+        def matvecs(rounds):
+            calls[0] = 0
+            precisions.clear()
+            cfg = SolverConfig(max_rounds=rounds, schedules=sched, precision="mixed")
+            res = solve(e, b, init.z0, cfg)
+            assert res.rounds_used == rounds and not res.diverged
+            return calls[0]
+
+        short = matvecs(2)
+        assert matvecs(1500) - short == 1498 * per_round
+        # the long solve went down to single precision and came back up
+        assert [dtype for _, dtype in _switches(precisions)] == [np.complex64, np.complex128]
 
 
 _CONTRACT_E = gaussian_ensemble(8, 48, seed=21)
@@ -663,3 +723,75 @@ class TestInputContract:
     def test_rejects_complex(self, entry):
         with pytest.raises(ValueError, match="real"):
             ENTRY_POINTS[entry](_CONTRACT_B + 0j)
+
+
+MIXED_SOLVERS = [(altmin_solve, ALT), (wf_solve, WF)]
+
+
+class TestMixedPrecision:
+    """precision="mixed": single-precision rounds down to their floor, then double."""
+
+    @staticmethod
+    def _config(sched, rounds=2000, stop=None):
+        return SolverConfig(max_rounds=rounds, schedules=sched, stop_tolerance=stop, precision="mixed")
+
+    @pytest.mark.parametrize("solve, sched", MIXED_SOLVERS, ids=["alt", "wf"])
+    @pytest.mark.parametrize("stop", [None, 1e-3], ids=["full", "stopped-in-single"])
+    def test_results_are_double(self, precisions, solve, sched, stop):
+        e, x0, b, init = instance(21)
+        res = solve(e, b, init.z0, self._config(sched, stop=stop), truth=x0)
+        assert (stop is not None) == (_matvec_dtypes(precisions)[-1] == np.complex64)
+        for a in (res.x_final, res.y_final, res.z_final):
+            assert a.dtype == np.complex128
+        if solve is wf_solve:
+            assert res.x_final is res.z_final and res.y_final is res.z_final
+
+    def test_real_frame_runs_float32(self, precisions):
+        e, x0, b, z0 = _frame_instance("gaussian_real", d=32)
+        res = wf_solve(e, b, z0, self._config(WF, stop=1e-3), truth=x0)
+        assert res.converged and np.float32 in _matvec_dtypes(precisions)
+        assert res.z_final.dtype == np.float64
+
+    @pytest.mark.parametrize("solve, sched", MIXED_SOLVERS, ids=["alt", "wf"])
+    def test_exact_start_stays_double(self, precisions, solve, sched):
+        e, x0, b, _ = instance(22)
+        res = solve(e, b, x0, self._config(sched, rounds=100), truth=x0)
+        assert set(_matvec_dtypes(precisions)) == {np.dtype(np.complex128)}
+        assert max(r.rel_error for r in res.trace) <= 1e-14
+
+    @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
+    def test_cdp_is_unchanged(self, solve, reference, sched):
+        e, x0, b, z0 = _frame_instance("cdp")
+        double = SolverConfig(max_rounds=300, schedules=sched, stop_tolerance=1e-8)
+        mixed = SolverConfig(max_rounds=300, schedules=sched, stop_tolerance=1e-8, precision="mixed")
+        _same_result(solve(e, b, z0, mixed, truth=x0), solve(e, b, z0, double, truth=x0))
+
+    @pytest.mark.parametrize("solve, sched", MIXED_SOLVERS, ids=["alt", "wf"])
+    def test_huge_intensities_stay_double(self, precisions, solve, sched):
+        e = gaussian_ensemble(32, 192, seed=23)
+        x0 = 1e12 * random_gaussian_signal(32, rng_stream(23, 1))
+        b = measure(e, x0)
+        assert float(np.max(b)) ** 2 > float(np.finfo(np.float32).max)
+        z0 = spectral_init(e, b, rng=rng_stream(23, 2)).z0
+        res = solve(e, b, z0, self._config(sched, rounds=300), truth=x0)
+        assert not res.diverged
+        assert set(_matvec_dtypes(precisions)) == {np.dtype(np.complex128)}
+
+    def test_linesearch_rejected(self):
+        with pytest.raises(ValueError, match="exact_linesearch"):
+            SolverConfig(max_rounds=5, schedules=ALT, mode="exact_linesearch", precision="mixed")
+        with pytest.raises(ValueError, match="precision"):
+            SolverConfig(max_rounds=5, schedules=ALT, precision="half")
+
+    @pytest.mark.parametrize("solve, sched", MIXED_SOLVERS, ids=["alt", "wf"])
+    def test_switch_near_single_precision_floor(self, precisions, solve, sched):
+        # a gate-5 trial: d = 128, N = 4.5 d, run to the sweep's 1e-8 stop
+        e = gaussian_ensemble(128, 576, seed=24)
+        x0 = random_gaussian_signal(128, rng_stream(24, 1))
+        b = measure(e, x0)
+        z0 = spectral_init(e, b, rng=rng_stream(24, 2)).z0
+        res = solve(e, b, z0, self._config(sched, rounds=2500, stop=1e-8), truth=x0)
+        assert res.converged
+        (_, down), (rel, up) = _switches(precisions)
+        assert (down, up) == (np.complex64, np.complex128)
+        assert 1e-7 <= rel <= 1e-5
