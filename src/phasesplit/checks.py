@@ -5,6 +5,7 @@ the paper's claims at seeds the acceptance gates do not use.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,17 +64,13 @@ def _atom_frequency_deviation():
     return max(abs(float(np.mean(np.isclose(masks, a))) - p) for a, p in zip(CDP_ATOMS, CDP_ATOM_PROBS))
 
 
-def _first_uptick(mode):
-    """First objective uptick of a seeded fixed-step or line-search solve, -1 if none."""
+def _first_uptick(schedules):
+    """First objective uptick of a seeded solve under ``schedules(e, z0)``, -1 if none."""
     e = gaussian_ensemble(32, 192, seed=106)
     x0 = random_gaussian_signal(32, rng_stream(106, 1))
     b = measure(e, x0)
     z0 = spectral_init(e, b, rng=rng_stream(106, 2)).z0
-    sched = PRESETS["gaussian_gaussian"].alt
-    if mode == "fixed_schedule":
-        step = fixed_step(e, z0, 1.0)
-        sched = Schedules(tau0=1e-9, mu_max=step, lam0=1.0, lam_decay=0.0, step_scaling="raw")
-    result = altmin_solve(e, b, z0, SolverConfig(max_rounds=300, schedules=sched, mode=mode), truth=x0)
+    result = altmin_solve(e, b, z0, SolverConfig(max_rounds=300, schedules=schedules(e, z0)), truth=x0)
     idx = analysis.monotonicity_audit(result)[1]
     return -1 if idx is None else idx
 
@@ -87,6 +84,8 @@ def _speedup_ratio():
     return float(np.mean(ratios))
 
 
+_LINESEARCH = replace(PRESETS["gaussian_gaussian"].alt, tau0=None, mu_max=None, step="exact")
+
 # (name, bound, instrument); the row order is the order of checks.json
 CHECKS = (
     ("gradient_real", 1e-6, lambda: _gradient("real")),
@@ -97,8 +96,9 @@ CHECKS = (
     ("frame_bound_violations", 0, lambda: _frame_bound(1000).violations),
     # the equality gap reads the frame's top eigenpair, none of the random trials
     ("frame_bound_tightness", 1e-6, lambda: _frame_bound(1).equality_gap),
-    ("monotone_fixed_step", -1, lambda: _first_uptick("fixed_schedule")),
-    ("monotone_linesearch", -1, lambda: _first_uptick("exact_linesearch")),
+    ("monotone_fixed_step", -1, lambda: _first_uptick(lambda e, z0: Schedules(lam0=1.0, step=fixed_step(e, z0, 1.0)))),
+    # the preset's coupling, its ramp replaced by the line search
+    ("monotone_linesearch", -1, lambda: _first_uptick(lambda e, z0: _LINESEARCH)),
     ("speedup_ratio", (0.55, 0.80), _speedup_ratio),
     ("cdp_atom_frequencies", 0.005, _atom_frequency_deviation),
     ("cdp_atom_energy", (0.98, 1.02), lambda: float(np.mean(np.abs(_masks()) ** 2))),

@@ -3,23 +3,25 @@ baseline on the quartic loss.
 
 One alternating round is a gradient step in x followed by a gradient step in
 y *at the updated x* (Gauss-Seidel ordering), so a round costs two iterations
-when budgets are matched against the single-variable flow. Steps follow either
-the ramped schedule min(1 - e^{-tau/tau0}, mu_max) divided by ||z0||^2, or an
-exact line search using the one-block quadratic form, which is exact because
-the split loss is quadratic in each variable separately.
+when budgets are matched against the single-variable flow. ``Schedules.step``
+picks the step: the ramp min(1 - e^{-tau/tau0}, mu_max) divided by ||z0||^2,
+a constant, or an exact line search using the one-block quadratic form, which
+is exact because the split loss is quadratic in each variable separately.
 
-Scheduled steps multiply the plain Wirtinger derivative (d/d conjugate), the
-normalization under which the flow baseline's step sizes are conventionally
-quoted; that is half of the gradients exported by :mod:`.objective` for the
-split loss and a quarter for the quartic loss, whose value is twice the
-conventional half-squared misfit. Line-search steps are invariant to this
-choice since the step is computed for the ray actually used.
+Scheduled steps (the ramp and a constant) multiply the plain Wirtinger
+derivative (d/d conjugate), the normalization under which the flow
+baseline's step sizes are conventionally quoted; that is half of the
+gradients exported by :mod:`.objective` for the split loss and a quarter for
+the quartic loss, whose value is twice the conventional half-squared misfit.
+Line-search steps are invariant to this choice since the step is computed
+for the ray actually used.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -59,51 +61,59 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Schedules:
-    """Step ramp and coupling decay controlling one solver run.
+    """Step policy and coupling decay controlling one solver run.
 
-    step at round tau:      min(1 - e^{-tau/tau0}, mu_max), divided by
-                            ||z0||^2 when step_scaling == "by_theta_squared"
+    step None (default):    the ramp min(1 - e^{-tau/tau0}, mu_max) / ||z0||^2
+    step gamma > 0:         gamma at every round, no cap and no ||z0||^2 scale
+    step "exact":           the exact line search along each block gradient
     coupling at round tau:  lam0 * e^{-lam_decay * tau}
+
+    tau0 and mu_max belong to the ramp and stay None for the other kinds. A
+    constant keeps the ramp's unit, the Wirtinger derivative: it is applied
+    as gamma / 2 to ``split_grad_x`` and ``split_grad_y`` and gamma / 4 to
+    ``wf_grad``, so ``fixed_step``'s value is passed as it is.
     """
 
-    tau0: float
-    mu_max: float  # in (0, 1]: the ramp never exceeds 1
+    tau0: float | None = None
+    mu_max: float | None = None  # in (0, 1]: the ramp never exceeds 1
     lam0: float = 0.0
     lam_decay: float = 0.0
-    step_scaling: str = "by_theta_squared"  # or "raw"
+    step: float | str | None = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.tau0, self.mu_max, self.lam0, self.lam_decay])):
+        if not np.all(np.isfinite([v for v in (self.tau0, self.mu_max, self.lam0, self.lam_decay) if v is not None])):
             raise ValueError("tau0, mu_max, lam0 and lam_decay must be finite")
-        if self.tau0 <= 0 or self.mu_max <= 0:
-            raise ValueError("tau0 and mu_max must be positive")
-        if self.mu_max > 1:
-            raise ValueError(f"mu_max {self.mu_max!r} exceeds 1, which the step ramp never reaches")
         if self.lam0 < 0 or self.lam_decay < 0:
             raise ValueError("lam0 and lam_decay must be nonnegative")
-        if self.step_scaling not in ("by_theta_squared", "raw"):
-            raise ValueError(f"unknown step_scaling {self.step_scaling!r}")
+        if self.step is None:
+            if self.tau0 is None or self.mu_max is None:
+                raise ValueError("the step ramp needs tau0 and mu_max")
+            if self.tau0 <= 0 or self.mu_max <= 0:
+                raise ValueError("tau0 and mu_max must be positive")
+            if self.mu_max > 1:
+                raise ValueError(f"mu_max {self.mu_max!r} exceeds 1, which the step ramp never reaches")
+        elif self.tau0 is not None or self.mu_max is not None:
+            raise ValueError(f"tau0 and mu_max belong to the step ramp, not to step={self.step!r}")
+        elif self.step != "exact" and not (isinstance(self.step, numbers.Real) and 0 < self.step < math.inf):
+            raise ValueError(f"step must be None, 'exact' or a positive finite constant, not {self.step!r}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_rounds: int
     schedules: Schedules
-    mode: str = "fixed_schedule"  # or "exact_linesearch"
     stop_tolerance: float | None = None  # None: always run the full budget
     precision: str = "double"  # or "mixed": single-precision rounds down to their floor first
 
     def __post_init__(self):
         if not isinstance(self.max_rounds, (int, np.integer)) or self.max_rounds < 1:
             raise ValueError("max_rounds must be an integer >= 1")
-        if self.mode not in ("fixed_schedule", "exact_linesearch"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.precision not in ("double", "mixed"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.precision == "mixed" and self.mode == "exact_linesearch":
+        if self.precision == "mixed" and self.schedules.step == "exact":
             # near the switch the single-precision loss is noise as large as
             # itself, so line-search traces would no longer be monotone
-            raise ValueError("mixed precision runs scheduled steps only, not exact_linesearch")
+            raise ValueError("mixed precision runs scheduled steps only, not step='exact'")
         tol = self.stop_tolerance
         if tol is not None and not (np.isfinite(tol) and tol >= 0):
             raise ValueError("stop_tolerance must be nonnegative and finite")
@@ -140,22 +150,35 @@ def coupling_schedule(tau, lam0, lam_decay):
 
 
 def fixed_step(e, z0, lam):
-    """The constant step 1/(3 ((C/N) max_n |f_n^* z0|^2 + lam)).
+    """The constant step 1/(3 ((C/N) max_n |f_n^* z0|^2 + lam)), C the upper frame bound.
 
-    C is the upper frame bound. Alternating rounds at this step with the
-    coupling held at ``lam`` decrease the split loss monotonically from z0.
+    Alternating rounds at this step, ``Schedules(lam0=lam, step=...)``, descend
+    monotonically from a spectral start z0 (gate 4). The bound reads only the
+    start's forwards, so it promises nothing from an arbitrary start: from 0.01
+    times the truth at d = 16, N = 96 (seed 3) and lam = 0, the objective
+    rises at round 1 and the solve diverges by round 4.
     """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be nonnegative and finite")
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("z0 must be finite")
     curvature = (upper_frame_bound(e) / e.N) * float(np.max(np.abs(forward(e, z0)) ** 2)) + lam
+    if curvature == 0.0:
+        raise ValueError("z0 = 0 with lam = 0 leaves the step unbounded")
     return 1.0 / (3.0 * curvature)
 
 
-def _step_scale(schedules, z0):
-    if schedules.step_scaling == "raw":
-        return 1.0
-    scale = l2_norm(z0) ** 2
-    if scale == 0.0:
-        raise ValueError("steps scale by ||z0||^2, so z0 must be nonzero")
-    return scale
+def _scheduled(schedules, sq_norm, unit):
+    """The step of one solve, read once from ``schedules``: the multiplier of
+    an exported gradient that is ``unit`` times the Wirtinger derivative, as a
+    function of the round, or None under the exact line search."""
+    if schedules.step is None:
+        tau0, mu_max, divisor = schedules.tau0, schedules.mu_max, unit * sq_norm
+        return lambda tau: step_schedule(tau, tau0, mu_max) / divisor
+    if schedules.step == "exact":
+        return None
+    constant = schedules.step / unit
+    return lambda tau: constant
 
 
 def _linesearch_step(sq_grad_norm, quad_form_value):
@@ -228,9 +251,10 @@ class _Precision:
         return self.e, self.b, _cast(arrays, _DOUBLE)
 
 
-def _alt_rounds(e, b, z, cfg, scale, level):
+def _alt_rounds(e, b, z, cfg, sq_norm, level):
     """Alternating rounds from x = y = z (4 matvecs each, 6 with line search)."""
     sched = cfg.schedules
+    scheduled = _scheduled(sched, sq_norm, 2.0)  # mu multiplies the Wirtinger derivative = gx / 2
     x, y = z, z.copy()
     gx, gy, update, mid, diff = (np.empty_like(z) for _ in range(5))
     r, fx, fy, weights = (np.empty(e.N, z.dtype) for _ in range(4))
@@ -246,16 +270,15 @@ def _alt_rounds(e, b, z, cfg, scale, level):
             res = Residuals(*parts)
         lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
         split_grad_x(e, res, x, y, lam, out=gx)
-        if cfg.mode == "exact_linesearch":
+        if scheduled is None:
             q = split_quad_form(e, y, gx, lam, f_anchor=res.fy)
             alpha = _linesearch_step(l2_norm(gx) ** 2, q)
         else:
-            # mu multiplies the Wirtinger derivative = gx / 2
-            alpha = beta = step_schedule(tau, sched.tau0, sched.mu_max) / (2.0 * scale)
+            alpha = beta = scheduled(tau)
         np.subtract(x, np.multiply(alpha, gx, update), x)
         residuals(e, x, y, b, fy=res.fy, out=res)
         split_grad_y(e, res, x, y, lam, out=gy)
-        if cfg.mode == "exact_linesearch":
+        if scheduled is None:
             q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
             beta = _linesearch_step(l2_norm(gy) ** 2, q)
         np.subtract(y, np.multiply(beta, gy, update), y)
@@ -265,9 +288,9 @@ def _alt_rounds(e, b, z, cfg, scale, level):
         yield TraceRow(tau, value, alpha, lam, None), (gx, gy), (x, y, mid)
 
 
-def _wf_rounds(e, b, z, cfg, scale, level):
+def _wf_rounds(e, b, z, cfg, sq_norm, level):
     """Flow iterations from z (2 matvecs each, 3 with line search)."""
-    sched = cfg.schedules
+    scheduled = _scheduled(cfg.schedules, sq_norm, 4.0)  # mu multiplies the reference-convention derivative = g / 4
     g, update = np.empty_like(z), np.empty_like(z)
     res = Residuals(np.empty(e.N), np.empty(e.N, z.dtype), None, np.empty(e.N, z.dtype), np.empty(e.N))
     wf_residuals(e, z, b, out=res)
@@ -279,12 +302,11 @@ def _wf_rounds(e, b, z, cfg, scale, level):
             e, b, (z, g, update, *parts) = precision.cast((z, g, update, *vars(res).values()))
             res = Residuals(*parts)
         wf_grad(e, z, b, res=res, out=g)
-        if cfg.mode == "exact_linesearch":
+        if scheduled is None:
             # step ||g||^2 / q, the minimizer of the flow's curvature model along g
             delta = _linesearch_step(l2_norm(g) ** 2, wf_quad_form(e, z, g, fz=res.fx) / 2.0)
         else:
-            # mu multiplies the reference-convention derivative = g / 4
-            delta = step_schedule(tau, sched.tau0, sched.mu_max) / (4.0 * scale)
+            delta = scheduled(tau)
         np.subtract(z, np.multiply(delta, g, update), z)
         wf_residuals(e, z, b, out=res)
         value = wf_loss(e, z, b, res=res)
@@ -294,16 +316,20 @@ def _wf_rounds(e, b, z, cfg, scale, level):
 def _solve(e, b, z0, cfg, truth, rounds):
     """The loop both solvers share: trace, divergence flag and stop rule.
 
-    ``rounds(e, b, z, cfg, scale, level)`` yields the trace row of the start,
+    ``rounds(e, b, z, cfg, sq_norm, level)`` yields the trace row of the start,
     then per round its row, the gradients it took and the (x, y, estimate) it
     reached; rows come without their error, which is filled in here. Under
     mixed precision ``level`` is the loss at which single-precision rounds
-    end (None: double precision throughout).
+    end (None: double precision throughout), and ``sq_norm`` is ||z0||^2,
+    which the step ramp divides by.
     """
     b = check_intensities(e, b)
     z0 = np.asarray(z0)
     if not np.all(np.isfinite(z0)):
         raise ValueError("z0 must be finite")
+    sq_norm = l2_norm(z0) ** 2
+    if sq_norm == 0.0:
+        raise ValueError("z0 must be nonzero: x = y = 0 is a critical point of both losses, so no step moves it")
     if truth is not None and not np.all(np.isfinite(truth)):
         raise ValueError("truth must be finite")
     if not e.is_complex and np.any(np.imag(z0)):
@@ -316,7 +342,7 @@ def _solve(e, b, z0, cfg, truth, rounds):
         )
     z = (z0 if e.is_complex else z0.real).astype(complex if e.is_complex else float, copy=True)
     level = _single_floor(e, b) if cfg.precision == "mixed" else None
-    steps = rounds(e, b, z, cfg, _step_scale(cfg.schedules, z0), level)
+    steps = rounds(e, b, z, cfg, sq_norm, level)
 
     def rel(zv):
         return None if truth is None else relative_error(truth, zv)

@@ -115,9 +115,7 @@ def test_04_monotone_descent_fixed_step():
     curvature = (upper_frame_bound(e) / e.N) * float(
         np.max(np.abs(forward(e, init.z0)) ** 2)
     ) + lam
-    sched = Schedules(
-        tau0=1e-9, mu_max=1.0 / (3.0 * curvature), lam0=lam, lam_decay=0.0, step_scaling="raw"
-    )
+    sched = Schedules(lam0=lam, step=1.0 / (3.0 * curvature))
     res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=500, schedules=sched), truth=x0)
     ok, idx = monotonicity_audit(res)
     report(4, ok and res.rounds_used == 500, f"500 fixed-step rounds, first violation = {idx}")

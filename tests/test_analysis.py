@@ -268,12 +268,10 @@ class TestMonotonicityAudit:
         x0 = random_gaussian_signal(16, rng_stream(19, 1))
         b = measure(e, x0)
         init = spectral_init(e, b, rng=rng_stream(19, 2))
-        sched = Schedules(tau0=330.0, mu_max=0.4, lam0=300.0, lam_decay=0.15 / 330)
-        res = altmin_solve(
-            e, b, init.z0, SolverConfig(max_rounds=500, schedules=sched, mode="exact_linesearch")
-        )
+        sched = Schedules(lam0=300.0, lam_decay=0.15 / 330, step="exact")
+        res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=500, schedules=sched))
         ok, idx = monotonicity_audit(res)
         assert ok, f"uptick at {idx}"
-        flow = wf_solve(e, b, init.z0, SolverConfig(max_rounds=500, schedules=sched, mode="exact_linesearch"))
+        flow = wf_solve(e, b, init.z0, SolverConfig(max_rounds=500, schedules=sched))
         ok, idx = monotonicity_audit(flow)
         assert ok, f"flow uptick at {idx}"

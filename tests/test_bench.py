@@ -81,11 +81,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config key"):
             bench.parse_config("velocity=9\n")
 
-    def test_step_scaling_is_not_a_config_key(self):
-        # raw scaling on the ramped preset schedules diverges; only the
-        # library's fixed-step schedules use it
-        with pytest.raises(ValueError, match="unknown config key 'step_scaling'"):
-            bench.parse_config("preset=gaussian_gaussian\nstep_scaling=raw\n")
+    @pytest.mark.parametrize("key", ["step", "alt_step", "mode", "step_scaling"])
+    def test_step_kind_is_not_a_config_key(self, key):
+        # experiments run the preset ramps; a constant or exact step is set
+        # through the library's Schedules only
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            bench.parse_config(f"preset=gaussian_gaussian\n{key}=exact\n")
 
     @pytest.mark.parametrize("text, lineno, key", [
         ("d=16\nd=32\n", 2, "d"),

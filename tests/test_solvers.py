@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ from phasesplit.spectral import spectral_init
 
 ALT = Schedules(tau0=330.0, mu_max=0.4, lam0=300.0, lam_decay=0.15 / 330)
 WF = Schedules(tau0=330.0, mu_max=0.2)
+STEP_KINDS = ["ramp", "constant", "exact"]
+# converges on every frame of _frame_instance, alternating and flow
+CONSTANT_STEP = 0.003
+
+
+def with_step(sched, kind):
+    """``sched``'s coupling under the step ``kind``: its own ramp,
+    ``CONSTANT_STEP`` or the exact line search."""
+    if kind == "ramp":
+        return sched
+    return replace(sched, tau0=None, mu_max=None, step=CONSTANT_STEP if kind == "constant" else "exact")
+
+
+ALT_EXACT = with_step(ALT, "exact")
+WF_EXACT = with_step(WF, "exact")
 
 
 def instance(seed, d=32, oversampling=6):
@@ -57,10 +73,10 @@ def instance(seed, d=32, oversampling=6):
 def one_round(e, b, z0, step, lam):
     """One alternating round from x = y = z0 with both steps equal to ``step``.
 
-    A raw schedule with tau0 far below one round applies mu_max from the
-    first round on, and the x and y steps are mu_max / 2.
+    A constant gamma multiplies the Wirtinger derivative, half the exported
+    block gradient, so the x and y steps are gamma / 2.
     """
-    sched = Schedules(tau0=1e-9, mu_max=2.0 * step, lam0=lam, lam_decay=0.0, step_scaling="raw")
+    sched = Schedules(lam0=lam, step=2.0 * step)
     return altmin_solve(e, b, z0, SolverConfig(max_rounds=1, schedules=sched))
 
 
@@ -118,15 +134,31 @@ class TestSchedules:
             Schedules(tau0=0.0, mu_max=0.2)
         with pytest.raises(ValueError):
             Schedules(tau0=1.0, mu_max=0.2, lam0=-1.0)
-        with pytest.raises(ValueError):
-            Schedules(tau0=1.0, mu_max=0.2, step_scaling="weird")
         with pytest.raises(ValueError, match="exceeds 1"):
             Schedules(tau0=1.0, mu_max=1.5)
         Schedules(tau0=1.0, mu_max=1.0)
         with pytest.raises(ValueError):
             SolverConfig(max_rounds=0, schedules=WF)
-        with pytest.raises(ValueError):
-            SolverConfig(max_rounds=5, schedules=WF, mode="newton")
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf, -np.inf, "weird"])
+    def test_rejects_bad_step(self, step):
+        with pytest.raises(ValueError, match="step must be"):
+            Schedules(step=step)
+
+    @pytest.mark.parametrize("ramp", [{}, dict(tau0=1.0), dict(mu_max=0.2)])
+    def test_ramp_needs_tau0_and_mu_max(self, ramp):
+        with pytest.raises(ValueError, match="needs tau0 and mu_max"):
+            Schedules(lam0=1.0, **ramp)
+
+    @pytest.mark.parametrize("step", [0.5, "exact"])
+    @pytest.mark.parametrize("ramp", [dict(tau0=1.0), dict(mu_max=0.2), dict(tau0=1.0, mu_max=0.2)])
+    def test_constant_and_exact_take_no_ramp(self, step, ramp):
+        with pytest.raises(ValueError, match="belong to the step ramp"):
+            Schedules(step=step, **ramp)
+
+    def test_constant_has_no_cap(self):
+        # the ramp's mu_max stops at 1; a constant is not a ramp
+        assert Schedules(step=7.0).step == 7.0
 
     @pytest.mark.parametrize("bad", [
         dict(max_rounds=2.5),
@@ -194,7 +226,7 @@ class TestAltminSolve:
         e, x0, b, init = instance(7)
         lam = 2.5
         gamma = 1e-5
-        sched = Schedules(tau0=1e-9, mu_max=gamma, lam0=lam, lam_decay=0.0, step_scaling="raw")
+        sched = Schedules(lam0=lam, step=gamma)
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=3, schedules=sched))
         x, y = init.z0.copy(), init.z0.copy()
         for _ in range(3):
@@ -215,7 +247,7 @@ class TestAltminSolve:
 
     def test_linesearch_monotone_and_optimal(self):
         e, x0, b, init = instance(9)
-        cfg = SolverConfig(max_rounds=200, schedules=ALT, mode="exact_linesearch")
+        cfg = SolverConfig(max_rounds=200, schedules=ALT_EXACT)
         res = altmin_solve(e, b, init.z0, cfg, truth=x0)
         ok, idx = monotonicity_audit(res)
         assert ok, f"objective rose at round {idx}"
@@ -230,16 +262,14 @@ class TestAltminSolve:
     def test_fixed_step_fixed_coupling_monotone(self):
         e, x0, b, init = instance(10)
         lam = 1.0
-        sched = Schedules(
-            tau0=1e-9, mu_max=fixed_step(e, init.z0, lam), lam0=lam, lam_decay=0.0, step_scaling="raw"
-        )
+        sched = Schedules(lam0=lam, step=fixed_step(e, init.z0, lam))
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=300, schedules=sched))
         ok, idx = monotonicity_audit(res)
         assert ok, f"objective rose at round {idx}"
 
     def test_divergence_is_reported_not_raised(self):
         e, x0, b, init = instance(11)
-        wild = Schedules(tau0=1e-9, mu_max=1.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
+        wild = Schedules(step=1.0)
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=200, schedules=wild))
         assert res.diverged and not res.converged
         assert all(np.isfinite(row.objective) for row in res.trace)
@@ -253,9 +283,7 @@ class TestAltminSolve:
 
     def test_gradient_norm_stopping_without_truth(self):
         e, x0, b, init = instance(13)
-        cfg = SolverConfig(
-            max_rounds=2000, schedules=ALT, mode="exact_linesearch", stop_tolerance=1e-9
-        )
+        cfg = SolverConfig(max_rounds=2000, schedules=ALT_EXACT, stop_tolerance=1e-9)
         res = altmin_solve(e, b, init.z0, cfg)
         assert res.converged
         assert res.rounds_used < 2000
@@ -274,6 +302,45 @@ class TestFixedStep:
             np.max(np.abs(forward(e, init.z0)) ** 2)
         ) + lam
         assert fixed_step(e, init.z0, lam) == 1.0 / (3.0 * curvature)
+
+    @staticmethod
+    def _small_start():
+        """d = 16, N = 96 at seed 3, and a start at 0.01 times the truth."""
+        e = gaussian_ensemble(16, 96, seed=3)
+        x = random_gaussian_signal(16, rng_stream(3, 1))
+        return e, x, measure(e, x), 0.01 * x
+
+    def test_constant_above_one_runs(self):
+        # a ramp stops at 1, so a constant written as a saturated ramp could not run this step
+        e, _, b, z0 = self._small_start()
+        gamma = fixed_step(e, z0, 0.0)
+        assert gamma == pytest.approx(7.008, abs=1e-3)
+        res = altmin_solve(e, b, z0, SolverConfig(max_rounds=1, schedules=Schedules(step=gamma)))
+        x, y = z0.copy(), z0.copy()
+        x = x - gamma / 2.0 * split_grad_x(e, residuals(e, x, y, b), x, y, 0.0)
+        y = y - gamma / 2.0 * split_grad_y(e, residuals(e, x, y, b), x, y, 0.0)
+        assert _same_bytes(res.x_final, x) and _same_bytes(res.y_final, y)
+
+    @pytest.mark.parametrize("scale, lam", [(0.01, 0.0), (0.01, 1.0), (0.1, 0.0)])
+    def test_no_descent_promise_from_a_small_start(self, scale, lam):
+        # the bound reads only the start's forwards; gate 4 starts from a spectral start
+        e, x, b, _ = self._small_start()
+        z0 = scale * x
+        sched = Schedules(lam0=lam, step=fixed_step(e, z0, lam))
+        res = altmin_solve(e, b, z0, SolverConfig(max_rounds=10, schedules=sched))
+        assert res.trace[1].objective > res.trace[0].objective
+        assert res.diverged and res.rounds_used <= 4
+
+    @pytest.mark.parametrize("bad, match", [("zero", "unbounded"), ("nan", "finite"), ("negative_lam", "lam")])
+    def test_fails_loudly(self, bad, match):
+        e, _, _, z0 = self._small_start()
+        lam = -1.0 if bad == "negative_lam" else 0.0
+        if bad == "zero":
+            z0 = np.zeros_like(z0)
+        elif bad == "nan":
+            z0[2] = np.nan
+        with pytest.raises(ValueError, match=match):
+            fixed_step(e, z0, lam)
 
 
 class TestWfSolve:
@@ -295,7 +362,7 @@ class TestWfSolve:
 
     def test_linesearch_mode_descends(self):
         e, x0, b, init = instance(17)
-        cfg = SolverConfig(max_rounds=50, schedules=WF, mode="exact_linesearch")
+        cfg = SolverConfig(max_rounds=50, schedules=WF_EXACT)
         res = wf_solve(e, b, init.z0, cfg, truth=x0)
         values = [row.objective for row in res.trace]
         assert values[-1] < values[0]
@@ -311,10 +378,9 @@ class TestTraceRounds:
         if run == "full":
             cfg = SolverConfig(max_rounds=30, schedules=sched)
         elif run == "early_stop":
-            cfg = SolverConfig(max_rounds=2000, schedules=sched, mode="exact_linesearch", stop_tolerance=1e-6)
+            cfg = SolverConfig(max_rounds=2000, schedules=with_step(sched, "exact"), stop_tolerance=1e-6)
         else:
-            sched = Schedules(tau0=1e-9, mu_max=1.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
-            cfg = SolverConfig(max_rounds=200, schedules=sched)
+            cfg = SolverConfig(max_rounds=200, schedules=Schedules(step=1.0))
         res = solve(e, b, init.z0, cfg, truth=x0)
         assert (run == "early_stop") == res.converged and (run == "diverged") == res.diverged
         assert [row.round for row in res.trace] == list(range(len(res.trace)))
@@ -340,6 +406,11 @@ class TestTraceCsv:
         assert all(r.endswith(",") for r in rows)
 
 
+def _reference_mu(sched, tau):
+    """The scheduled step at round tau: the ramp's value, or the constant."""
+    return step_schedule(tau, sched.tau0, sched.mu_max) if sched.step is None else sched.step
+
+
 def _reference_alt_rounds(e, b, z, cfg, scale):
     """The alternating round as written before its buffers: fresh arrays
     for every result and np.linalg.norm for the line-search norms."""
@@ -351,15 +422,15 @@ def _reference_alt_rounds(e, b, z, cfg, scale):
     for tau in itertools.count(1):
         lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
         gx = split_grad_x(e, res, x, y, lam)
-        if cfg.mode == "exact_linesearch":
+        if sched.step == "exact":
             q = split_quad_form(e, y, gx, lam, f_anchor=res.fy)
             alpha = solvers._linesearch_step(float(np.linalg.norm(gx) ** 2), q)
         else:
-            alpha = beta = step_schedule(tau, sched.tau0, sched.mu_max) / (2.0 * scale)
+            alpha = beta = _reference_mu(sched, tau) / (2.0 * scale)
         x = x - alpha * gx
         res = residuals(e, x, y, b, fx=forward(e, x), fy=res.fy)
         gy = split_grad_y(e, res, x, y, lam)
-        if cfg.mode == "exact_linesearch":
+        if sched.step == "exact":
             q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
             beta = solvers._linesearch_step(float(np.linalg.norm(gy) ** 2), q)
         y = y - beta * gy
@@ -375,11 +446,11 @@ def _reference_wf_rounds(e, b, z, cfg, scale):
     yield TraceRow(0, wf_loss(e, z, b), 0.0, 0.0, None)
     for tau in itertools.count(1):
         g = wf_grad(e, z, b)
-        if cfg.mode == "exact_linesearch":
+        if sched.step == "exact":
             q = wf_quad_form(e, z, g) / 2.0
             delta = solvers._linesearch_step(float(np.linalg.norm(g) ** 2), q)
         else:
-            delta = step_schedule(tau, sched.tau0, sched.mu_max) / (4.0 * scale)
+            delta = _reference_mu(sched, tau) / (4.0 * scale)
         z = z - delta * g
         yield TraceRow(tau, wf_loss(e, z, b), delta, 0.0, None), (g,), (z, z, z)
 
@@ -393,7 +464,7 @@ def _reference_relative_error(x, y):
 def _reference_solve(e, b, z0, cfg, truth, rounds):
     """The shared loop as written before, on np.linalg.norm throughout."""
     sched = cfg.schedules
-    scale = 1.0 if sched.step_scaling == "raw" else float(np.linalg.norm(z0) ** 2)
+    scale = float(np.linalg.norm(z0) ** 2) if sched.step is None else 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
         z = np.asarray(z0).astype(complex if e.is_complex else float, copy=True)
@@ -464,14 +535,14 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
     @pytest.mark.parametrize("frame", ["gaussian_complex", "gaussian_real", "cdp"])
-    @pytest.mark.parametrize("mode", ["fixed_schedule", "exact_linesearch"])
+    @pytest.mark.parametrize("kind", STEP_KINDS)
     @pytest.mark.parametrize("truth, stop", [
         ("none", None), ("given", None), ("given", 1e-3), ("none", 1e-3),
     ], ids=["no-truth", "truth-no-stop", "truth-stop", "gradient-stop"])
-    def test_matches_reference(self, solve, reference, sched, frame, mode, truth, stop):
+    def test_matches_reference(self, solve, reference, sched, frame, kind, truth, stop):
         e, x0, b, z0 = _frame_instance(frame)
         truth = x0 if truth == "given" else None
-        cfg = SolverConfig(max_rounds=500, schedules=sched, mode=mode, stop_tolerance=stop)
+        cfg = SolverConfig(max_rounds=500, schedules=with_step(sched, kind), stop_tolerance=stop)
         got = solve(e, b, z0, cfg, truth=truth)
         _same_result(got, _reference_solve(e, b, z0, cfg, truth, reference))
         # the alternating schedule, tuned on complex frames, diverges on this real one
@@ -480,8 +551,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
     def test_matches_reference_when_diverging(self, solve, reference, sched):
         e, x0, b, z0 = _frame_instance("gaussian_complex")
-        wild = Schedules(tau0=1e-9, mu_max=1.0, lam0=0.0, lam_decay=0.0, step_scaling="raw")
-        cfg = SolverConfig(max_rounds=200, schedules=wild)
+        cfg = SolverConfig(max_rounds=200, schedules=Schedules(step=1.0))
         got = solve(e, b, z0, cfg, truth=x0)
         assert got.diverged
         with np.errstate(over="ignore", invalid="ignore"):
@@ -590,21 +660,23 @@ class TestCostModel:
 
     @pytest.mark.parametrize("kind", ["gaussian", "cdp"])
     @pytest.mark.parametrize(
-        "solve, sched, mode, per_round",
+        "solve, sched, step, per_round",
         [
-            (altmin_solve, ALT, "fixed_schedule", 4),
-            (wf_solve, WF, "fixed_schedule", 2),
-            (altmin_solve, ALT, "exact_linesearch", 6),
-            (wf_solve, WF, "exact_linesearch", 3),
+            (altmin_solve, ALT, "ramp", 4),
+            (wf_solve, WF, "ramp", 2),
+            (altmin_solve, ALT, "constant", 4),
+            (wf_solve, WF, "constant", 2),
+            (altmin_solve, ALT, "exact", 6),
+            (wf_solve, WF, "exact", 3),
         ],
-        ids=["alt", "wf", "alt-linesearch", "wf-linesearch"],
+        ids=["alt", "wf", "alt-constant", "wf-constant", "alt-linesearch", "wf-linesearch"],
     )
-    def test_matvecs_per_round(self, calls, kind, solve, sched, mode, per_round):
+    def test_matvecs_per_round(self, calls, kind, solve, sched, step, per_round):
         e, b, init = self._instance(kind)
 
         def matvecs(rounds):
             calls[0] = 0
-            cfg = SolverConfig(max_rounds=rounds, schedules=sched, mode=mode)
+            cfg = SolverConfig(max_rounds=rounds, schedules=with_step(sched, step))
             res = solve(e, b, init.z0, cfg)
             assert res.rounds_used == rounds and not res.diverged
             return calls[0]
@@ -652,12 +724,13 @@ def _with_entry(index, value):
 
 
 class TestZeroStart:
-    """A zero start leaves the ||z0||^2 step scale undefined: an error, not a divergence."""
+    """x = y = 0 is a critical point of both losses, so no step moves a zero
+    start: an error under every step kind, not a stalled solve."""
 
     @pytest.mark.parametrize("solve", [altmin_solve, wf_solve], ids=["alt", "wf"])
-    @pytest.mark.parametrize("mode", ["fixed_schedule", "exact_linesearch"])
-    def test_rejected_under_theta_scaling(self, solve, mode):
-        cfg = SolverConfig(max_rounds=2, schedules=ALT, mode=mode)
+    @pytest.mark.parametrize("kind", STEP_KINDS)
+    def test_rejected(self, solve, kind):
+        cfg = SolverConfig(max_rounds=2, schedules=with_step(ALT, kind))
         with pytest.raises(ValueError, match="nonzero"):
             solve(_CONTRACT_E, _CONTRACT_B, np.zeros(8), cfg)
 
@@ -666,12 +739,12 @@ class TestNonfiniteStartOrTruth:
     """A NaN or infinite start or truth is bad input, not a divergence."""
 
     @pytest.mark.parametrize("solve", [altmin_solve, wf_solve], ids=["alt", "wf"])
-    @pytest.mark.parametrize("mode", ["fixed_schedule", "exact_linesearch"])
+    @pytest.mark.parametrize("kind", STEP_KINDS)
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_start_rejected(self, solve, mode, value):
+    def test_start_rejected(self, solve, kind, value):
         z0 = _CONTRACT_X.copy()
         z0[3] = value
-        cfg = SolverConfig(max_rounds=2, schedules=ALT, mode=mode)
+        cfg = SolverConfig(max_rounds=2, schedules=with_step(ALT, kind))
         with pytest.raises(ValueError, match="z0 must be finite"):
             solve(_CONTRACT_E, _CONTRACT_B, z0, cfg)
 
@@ -778,8 +851,8 @@ class TestMixedPrecision:
         assert set(_matvec_dtypes(precisions)) == {np.dtype(np.complex128)}
 
     def test_linesearch_rejected(self):
-        with pytest.raises(ValueError, match="exact_linesearch"):
-            SolverConfig(max_rounds=5, schedules=ALT, mode="exact_linesearch", precision="mixed")
+        with pytest.raises(ValueError, match="exact"):
+            SolverConfig(max_rounds=5, schedules=ALT_EXACT, precision="mixed")
         with pytest.raises(ValueError, match="precision"):
             SolverConfig(max_rounds=5, schedules=ALT, precision="half")
 
