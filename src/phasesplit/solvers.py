@@ -199,59 +199,57 @@ _SINGLE = {"c": np.complex64, "f": np.float32}
 _DOUBLE = {"c": np.complex128, "f": np.float64}
 
 
-def _single_floor(e, b):
-    """The loss at which a mixed solve leaves single precision, or None when
-    it runs in double precision throughout: on CDP ensembles, whose
-    complex64 FFTs are no faster, and where float32 cannot hold the squared
-    residuals."""
-    if e.masks is None:
-        f32 = np.finfo(np.float32)
-        peak = float(np.max(b))
-        level = _KAPPA * _EPS32**2 * float(np.mean(np.square(b)))
-        if peak <= math.sqrt(f32.max / _HEADROOM) and level >= f32.tiny:
-            return level
-    return None
-
-
-def _cast(arrays, table):
-    """Copies of ``arrays`` at the precision ``table`` maps each kind to; None stays None."""
-    return [None if a is None else a.astype(table[a.dtype.kind]) for a in arrays]
-
-
 class _Precision:
-    """When a mixed solve changes precision, read off the last round's loss.
+    """When and how a solve changes precision, read off each round's loss.
 
-    After row 0 the rounds go down to single precision unless the loss is
-    already at ``level`` (None: never); once it reaches it they come back to
-    double precision for good. A change casts the round's arrays, keeping
-    their values, so it costs no matvec.
+    Under ``cfg.precision == "mixed"`` the rounds after row 0 run in single
+    precision down to the floor ``_KAPPA * eps32^2 * mean(b^2)`` of the real
+    intensities ``b``, unless the start is already there, then in double
+    precision for good. CDP ensembles (whose complex64 FFTs are no faster)
+    stay double, as do intensities whose squared residuals or floor float32
+    cannot hold. A change casts the round's arrays, keeping their values, so
+    it costs no matvec.
     """
 
-    def __init__(self, e, b, level):
-        self.e, self.b, self.level = e, b, level
-        self.single = None  # the single-precision ensemble, once built
+    def __init__(self, cfg, e, b):
+        self.level = None  # the floor while a change is still ahead, else None
+        self.double = None  # the double-precision (ensemble, intensities) while single rounds run
+        if cfg.precision == "mixed" and e.masks is None:
+            f32 = np.finfo(np.float32)
+            level = _KAPPA * _EPS32**2 * float(np.mean(np.square(b)))
+            if float(np.max(b)) <= math.sqrt(f32.max / _HEADROOM) and level >= f32.tiny:
+                self.level = level
 
     def due(self, value):
         """Whether the round after one that ended at loss ``value`` changes precision."""
         if self.level is None:
             return False
-        if self.single is None:  # row 0
+        if self.double is None:  # row 0
             if value > self.level:
                 return True
             self.level = None  # the start is already at the floor
             return False
         return value <= self.level
 
-    def cast(self, arrays):
-        """(ensemble, intensities, arrays) for the next round."""
-        if self.single is None:
-            self.single = Ensemble(frame=self.e.frame.astype(_SINGLE[self.e.frame.dtype.kind]))
-            return self.single, self.b.astype(_SINGLE[self.b.dtype.kind]), _cast(arrays, _SINGLE)
-        self.level = None
-        return self.e, self.b, _cast(arrays, _DOUBLE)
+    def cast(self, e, b, arrays):
+        """(ensemble, intensities, arrays) for the next round, from the current ones."""
+        if self.double is None:
+            self.double, table = (e, b), _SINGLE
+            e, b = Ensemble(frame=e.frame.astype(_SINGLE[e.frame.dtype.kind])), b.astype(_SINGLE[b.dtype.kind])
+        else:  # back to the double-precision pair, for good
+            (e, b), table = self.double, _DOUBLE
+            self.double = self.level = None
+        return e, b, [None if a is None else a.astype(table[a.dtype.kind]) for a in arrays]
+
+    def finish(self, arrays):
+        """``arrays`` in double precision, each cast once so that aliases stay aliases."""
+        if self.double is None:  # no single-precision round is running
+            return arrays
+        double = {id(a): a.astype(_DOUBLE[a.dtype.kind]) for a in arrays}
+        return [double[id(a)] for a in arrays]
 
 
-def _alt_rounds(e, b, z, cfg, sq_norm, level):
+def _alt_rounds(e, b, z, cfg, sq_norm, precision):
     """Alternating rounds from x = y = z (4 matvecs each, 6 with line search)."""
     sched = cfg.schedules
     scheduled = _scheduled(sched, sq_norm, 2.0)  # mu multiplies the Wirtinger derivative = gx / 2
@@ -263,10 +261,9 @@ def _alt_rounds(e, b, z, cfg, sq_norm, level):
     lam = coupling_schedule(1, sched.lam0, sched.lam_decay)
     value = split_loss(e, x, y, b, lam, res=res)
     yield TraceRow(0, value, 0.0, lam, None)
-    precision = _Precision(e, b, level)
     for tau in itertools.count(1):
         if precision.due(value):
-            e, b, (x, y, gx, gy, update, mid, *parts) = precision.cast((x, y, gx, gy, update, mid, *vars(res).values()))
+            e, b, (x, y, gx, gy, update, mid, *parts) = precision.cast(e, b, (x, y, gx, gy, update, mid, *vars(res).values()))
             res = Residuals(*parts)
         lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
         split_grad_x(e, res, x, y, lam, out=gx)
@@ -288,7 +285,7 @@ def _alt_rounds(e, b, z, cfg, sq_norm, level):
         yield TraceRow(tau, value, alpha, lam, None), (gx, gy), (x, y, mid)
 
 
-def _wf_rounds(e, b, z, cfg, sq_norm, level):
+def _wf_rounds(e, b, z, cfg, sq_norm, precision):
     """Flow iterations from z (2 matvecs each, 3 with line search)."""
     scheduled = _scheduled(cfg.schedules, sq_norm, 4.0)  # mu multiplies the reference-convention derivative = g / 4
     g, update = np.empty_like(z), np.empty_like(z)
@@ -296,10 +293,9 @@ def _wf_rounds(e, b, z, cfg, sq_norm, level):
     wf_residuals(e, z, b, out=res)
     value = wf_loss(e, z, b, res=res)
     yield TraceRow(0, value, 0.0, 0.0, None)
-    precision = _Precision(e, b, level)
     for tau in itertools.count(1):
         if precision.due(value):
-            e, b, (z, g, update, *parts) = precision.cast((z, g, update, *vars(res).values()))
+            e, b, (z, g, update, *parts) = precision.cast(e, b, (z, g, update, *vars(res).values()))
             res = Residuals(*parts)
         wf_grad(e, z, b, res=res, out=g)
         if scheduled is None:
@@ -316,12 +312,9 @@ def _wf_rounds(e, b, z, cfg, sq_norm, level):
 def _solve(e, b, z0, cfg, truth, rounds):
     """The loop both solvers share: trace, divergence flag and stop rule.
 
-    ``rounds(e, b, z, cfg, sq_norm, level)`` yields the trace row of the start,
-    then per round its row, the gradients it took and the (x, y, estimate) it
-    reached; rows come without their error, which is filled in here. Under
-    mixed precision ``level`` is the loss at which single-precision rounds
-    end (None: double precision throughout), and ``sq_norm`` is ||z0||^2,
-    which the step ramp divides by.
+    ``rounds(e, b, z, cfg, ||z0||^2, precision)`` yields the start's trace
+    row, then per round its row, the gradients it took and the (x, y,
+    estimate) it reached; the error of each row is filled in here.
     """
     b = check_intensities(e, b)
     z0 = np.asarray(z0)
@@ -341,8 +334,8 @@ def _solve(e, b, z0, cfg, truth, rounds):
             stacklevel=3,
         )
     z = (z0 if e.is_complex else z0.real).astype(complex if e.is_complex else float, copy=True)
-    level = _single_floor(e, b) if cfg.precision == "mixed" else None
-    steps = rounds(e, b, z, cfg, sq_norm, level)
+    precision = _Precision(cfg, e, b)
+    steps = rounds(e, b, z, cfg, sq_norm, precision)
 
     def rel(zv):
         return None if truth is None else relative_error(truth, zv)
@@ -372,9 +365,7 @@ def _solve(e, b, z0, cfg, truth, rounds):
                     converged = True
                     break
 
-    if z.dtype != _DOUBLE[z.dtype.kind]:  # stopped in single precision: cast each array once
-        double = {id(a): a.astype(_DOUBLE[a.dtype.kind]) for a in (x, y, z)}
-        x, y, z = (double[id(a)] for a in (x, y, z))
+    x, y, z = precision.finish((x, y, z))
     return SolveResult(
         x_final=x,
         y_final=y,
@@ -409,9 +400,8 @@ TRACE_CSV_HEADER = "round,objective,mu,lambda,rel_error"
 
 
 def _fmt(value):
-    if value is None:
-        return ""
-    return repr(float(value))
+    """A float field of every CSV the package writes: repr(float), empty for None."""
+    return "" if value is None else repr(float(value))
 
 
 def trace_to_csv(result):

@@ -266,8 +266,11 @@ class TestConvergence:
         # iteration parity: one alternating round counts as two iterations
         assert max(alt_iters) == max(wf_iters) == 600
         assert all(i % 2 == 0 for i in alt_iters)
-        # truth is known, so every row carries a relative error
-        assert all(l.split(",")[3] != "" for l in lines[1:])
+        # truth is known, so every row carries a relative error, and both
+        # fields are plain numbers (float() raises on "" or "np.float64(...)")
+        for line in lines[1:]:
+            _, _, objective, rel_error = line.split(",")
+            float(objective), float(rel_error)
 
     def test_odd_budget_is_matched(self):
         cfg = tiny_phase_config(experiment="converge", d=16, iterations=201, stop_tol=0.0)
@@ -284,6 +287,13 @@ class TestConvergence:
         a1, w1, _, _ = bench.run_convergence_curve(cfg)
         a2, w2, _, _ = bench.run_convergence_curve(cfg)
         assert bench.convergence_csv(a1, w1) == bench.convergence_csv(a2, w2)
+
+
+def test_csv_float_fields_take_numpy_floats():
+    row = bench.PhaseTransitionRow(ratio=np.float64(4.5), trials=2, successes=1, mean_rel_error=np.float64(1e-12))
+    assert bench.phase_transition_csv([row]).splitlines()[1] == "4.5,2,1,0.5,1e-12"
+    report = [{"n": 100, "algo": "alt", "iterations": 100, "rel_error": np.float64(2.5e-7)}]
+    assert bench.image_report_csv(report).splitlines()[1] == "100,alt,100,2.5e-07"
 
 
 class TestImageExperiment:

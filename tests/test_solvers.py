@@ -850,6 +850,19 @@ class TestMixedPrecision:
         assert not res.diverged
         assert set(_matvec_dtypes(precisions)) == {np.dtype(np.complex128)}
 
+    def test_floor_below_float32_tiny_stays_double(self, precisions):
+        # the flow: the preset alternating schedule diverges at this scale in
+        # double precision too, since lam0 is absolute and the ramp grows as 1/||z0||^2
+        e = gaussian_ensemble(32, 192, seed=23)
+        x0 = 1e-8 * random_gaussian_signal(32, rng_stream(23, 1))
+        b = measure(e, x0)
+        level = solvers._KAPPA * solvers._EPS32**2 * float(np.mean(np.square(b)))
+        assert 0.0 < level < float(np.finfo(np.float32).tiny)
+        z0 = spectral_init(e, b, rng=rng_stream(23, 2)).z0
+        res = wf_solve(e, b, z0, self._config(WF, rounds=300), truth=x0)
+        assert not res.diverged
+        assert set(_matvec_dtypes(precisions)) == {np.dtype(np.complex128)}
+
     def test_linesearch_rejected(self):
         with pytest.raises(ValueError, match="exact"):
             SolverConfig(max_rounds=5, schedules=ALT_EXACT, precision="mixed")
