@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algo {self.algo!r}")
         if min(self.d, self.trials, self.iterations, self.power_iters, self.image_L) < 1:
             raise ValueError("d, trials, iterations, power_iters and image_L must be positive")
+        if self.wf.lam0 or self.wf.lam_decay:
+            raise ValueError("the flow's quartic loss has no coupling: wf lam0 and lam_decay must be 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.seed < 0:
@@ -111,7 +113,7 @@ class ExperimentConfig:
             if any(not float(g).is_integer() for g in self.grid):
                 raise ValueError("cdp grid values are mask counts and must be integers")
         elif any(round(g * self.d) < 1 for g in self.grid):
-            # _make_ensemble draws N = round(g * d) measurements
+            # _synthetic_instance draws N = round(g * d) measurements
             raise ValueError(f"gaussian grid values must give N = round(grid * d) >= 1 at d={self.d}")
         if len(self.image_rounds) == 0 or any(n < 1 for n in self.image_rounds):
             raise ValueError("image_rounds must be positive")
@@ -224,21 +226,15 @@ def _one_blas_thread(path):
     set_threads(1)
 
 
-def _make_ensemble(model, d, grid_value, seed):
-    if model == "cdp":
-        return cdp_ensemble(d, int(round(grid_value)), seed=seed)
-    return gaussian_ensemble(d, int(round(grid_value * d)), seed=seed)
-
-
-def _make_signal(kind, d, rng):
-    return random_lowpass_signal(d, rng) if kind == "lowpass" else random_gaussian_signal(d, rng)
-
-
 def _synthetic_instance(cfg, grid_value, grid_idx, trial_idx):
     """The seeded ensemble (role 0) and signal (role 1) of one synthetic instance."""
-    e = _make_ensemble(cfg.model, cfg.d, grid_value, derive_seed(cfg.seed, grid_idx, trial_idx, 0))
-    x0 = _make_signal(cfg.signal, cfg.d, rng_stream(cfg.seed, grid_idx, trial_idx, 1))
-    return e, x0
+    seed = derive_seed(cfg.seed, grid_idx, trial_idx, 0)
+    if cfg.model == "cdp":
+        e = cdp_ensemble(cfg.d, int(round(grid_value)), seed=seed)
+    else:
+        e = gaussian_ensemble(cfg.d, int(round(grid_value * cfg.d)), seed=seed)
+    draw = random_lowpass_signal if cfg.signal == "lowpass" else random_gaussian_signal
+    return e, draw(cfg.d, rng_stream(cfg.seed, grid_idx, trial_idx, 1))
 
 
 def _measure_and_start(cfg, e, x0, grid_idx, trial_idx):
@@ -255,6 +251,12 @@ def _run_solver(cfg, algo, e, b, z0, x0, rounds, stop=None, precision="double"):
         return wf_solve(e, b, z0, solver_cfg, truth=x0)
     solver_cfg = SolverConfig(max_rounds=rounds, schedules=cfg.alt, stop_tolerance=stop, precision=precision)
     return altmin_solve(e, b, z0, solver_cfg, truth=x0)
+
+
+def _solve_pair(cfg, e, x0, grid_idx, trial_idx, rounds):
+    """``rounds`` alternating rounds and the matched flow from one spectral start."""
+    b, z0 = _measure_and_start(cfg, e, x0, grid_idx, trial_idx)
+    return _run_solver(cfg, "alt", e, b, z0, x0, rounds), _run_solver(cfg, "wf", e, b, z0, x0, rounds)
 
 
 def _trial_error(cfg, task):
@@ -339,11 +341,8 @@ def run_convergence_curve(cfg):
     """
     grid_value = cfg.grid[-1] if cfg.model == "cdp" else 4.5
     e, x0 = _synthetic_instance(cfg, grid_value, 0, 0)
-    b, z0 = _measure_and_start(cfg, e, x0, 0, 0)
-
     t0 = time.perf_counter()
-    alt = _run_solver(cfg, "alt", e, b, z0, x0, cfg.iterations // 2)
-    wf = _run_solver(cfg, "wf", e, b, z0, x0, cfg.iterations // 2)
+    alt, wf = _solve_pair(cfg, e, x0, 0, 0, cfg.iterations // 2)
     elapsed = time.perf_counter() - t0
 
     # Robustness bound ingredients (the stability constant is not computable,
@@ -400,44 +399,27 @@ def run_image_experiment(cfg, out_dir=None):
     max_n = cfg.image_rounds[-1]
 
     t0 = time.perf_counter()
-    per_channel = []
+    total_energy = 0
+    dist_sq = {(n, algo): 0 for n in cfg.image_rounds for algo in ("alt", "wf")}
     recovered = []
-    for ci, channel in enumerate(image.channels):
+    for ci, x0 in enumerate(image.channels):
         e = cdp_ensemble(d, cfg.image_L, seed=derive_seed(cfg.seed, ci, 0, 0))
-        x0 = np.asarray(channel)
-        b, z0 = _measure_and_start(cfg, e, x0, ci, 0)
-        alt = _run_solver(cfg, "alt", e, b, z0, x0, max_n)
-        wf = _run_solver(cfg, "wf", e, b, z0, x0, max_n)
-
-        def _errors_at(result, stride=1):
+        alt, wf = _solve_pair(cfg, e, x0, ci, 0, max_n)
+        norm_sq = float(np.linalg.norm(x0) ** 2)
+        total_energy += norm_sq
+        for algo, result, stride in (("alt", alt, 1), ("wf", wf, 2)):
             # diverged runs have truncated traces; report inf past the break
             by_round = {row.round: row.rel_error for row in result.trace}
-            return {n: by_round.get(stride * n, float("inf")) for n in cfg.image_rounds}
-
-        per_channel.append(
-            {
-                "norm_sq": float(np.linalg.norm(x0) ** 2),
-                "alt": _errors_at(alt),
-                "wf": _errors_at(wf, stride=2),
-            }
-        )
-        aligned = (best_phase(x0, alt.z_final) * alt.z_final).real
-        recovered.append(np.clip(aligned, 0.0, 1.0))
+            for n in cfg.image_rounds:
+                dist_sq[n, algo] += norm_sq * by_round.get(stride * n, float("inf")) ** 2
+        if alt.diverged:  # a non-finite iterate has no phase to align: written black
+            recovered.append(np.zeros(d))
+        else:
+            recovered.append(np.clip((best_phase(x0, alt.z_final) * alt.z_final).real, 0.0, 1.0))
     elapsed = time.perf_counter() - t0
 
-    total_energy = sum(ch["norm_sq"] for ch in per_channel)
-    report = []
-    for n in cfg.image_rounds:
-        for algo in ("alt", "wf"):
-            dist_sq = sum(ch["norm_sq"] * ch[algo][n] ** 2 for ch in per_channel)
-            report.append(
-                {
-                    "n": n,
-                    "algo": algo,
-                    "iterations": 2 * n,
-                    "rel_error": float(np.sqrt(dist_sq / total_energy)),
-                }
-            )
+    report = [{"n": n, "algo": algo, "iterations": 2 * n, "rel_error": float(np.sqrt(total / total_energy))}
+              for (n, algo), total in dist_sq.items()]
 
     if out_dir is not None:
         ext = "pgm" if len(image.channels) == 1 else "ppm"

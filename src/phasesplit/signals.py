@@ -143,6 +143,8 @@ def save_image(path, image):
     for ch in image.channels:
         if len(ch) != count:
             raise ValueError("channel length does not match width*height")
+        if not np.all(np.isfinite(ch)):
+            raise ValueError("channel values must be finite")
     magic = b"P5" if n_channels == 1 else b"P6"
     quantized = [
         np.clip(np.rint(np.asarray(ch) * 255.0), 0, 255).astype(np.uint8)

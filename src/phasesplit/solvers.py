@@ -391,8 +391,12 @@ def wf_solve(e, b, z0, cfg, truth=None):
     """Gradient flow on the quartic loss; ``cfg.max_rounds`` counts iterations.
 
     Matched-budget comparisons give the flow twice the alternating round
-    count, since each alternating round performs two block updates.
+    count, since each alternating round performs two block updates. The
+    quartic loss has no coupling, so a nonzero ``lam0`` or ``lam_decay``
+    warns that it is ignored.
     """
+    if cfg.schedules.lam0 or cfg.schedules.lam_decay:
+        warnings.warn("the quartic loss has no coupling: wf_solve ignores lam0 and lam_decay", stacklevel=2)
     return _solve(e, b, z0, cfg, truth, _wf_rounds)
 
 

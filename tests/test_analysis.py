@@ -272,6 +272,6 @@ class TestMonotonicityAudit:
         res = altmin_solve(e, b, init.z0, SolverConfig(max_rounds=500, schedules=sched))
         ok, idx = monotonicity_audit(res)
         assert ok, f"uptick at {idx}"
-        flow = wf_solve(e, b, init.z0, SolverConfig(max_rounds=500, schedules=sched))
+        flow = wf_solve(e, b, init.z0, SolverConfig(max_rounds=500, schedules=Schedules(step="exact")))
         ok, idx = monotonicity_audit(flow)
         assert ok, f"flow uptick at {idx}"

@@ -13,8 +13,11 @@ import pytest
 
 import phasesplit
 from phasesplit import bench, checks, cli
+from phasesplit.core import derive_seed, rng_stream
+from phasesplit.measurement import cdp_ensemble, measure
 from phasesplit.signals import ImageChannels, load_image, save_image
-from phasesplit.solvers import Schedules
+from phasesplit.solvers import Schedules, SolverConfig, altmin_solve, wf_solve
+from phasesplit.spectral import spectral_init
 
 FAST_ALT = Schedules(tau0=330.0, mu_max=0.4, lam0=300.0, lam_decay=0.15 / 330)
 FAST_WF = Schedules(tau0=330.0, mu_max=0.2)
@@ -104,6 +107,8 @@ class TestConfigParsing:
         ({"d": 15}, "d must be even"),
         ({"iterations": 1}, "iterations must be >= 2"),
         ({"model": "cdp", "grid": (4.5,)}, "mask counts"),
+        ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam0=300.0)}, "no coupling"),
+        ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam_decay=0.01)}, "no coupling"),
     ])
     def test_one_rule_set_for_every_runner(self, overrides, match):
         # an invalid config cannot be built, so no runner can receive one
@@ -311,20 +316,60 @@ class TestImageExperiment:
         assert all(r["iterations"] == 2 * r["n"] for r in report)
         assert (tmp_path / "recovered_40.pgm").exists()
 
-    def test_rgb_uses_three_channels(self, tmp_path):
+    @staticmethod
+    def _rgb_ppm(tmp_path):
         rng = np.random.default_rng(0)
         img = ImageChannels(width=4, height=4, channels=tuple(rng.random(16) for _ in range(3)))
         path = tmp_path / "rgb.ppm"
         save_image(path, img)
+        return str(path)
+
+    def test_rgb_uses_three_channels(self, tmp_path):
         cfg = replace(
             bench.PRESETS["image_small"],
-            image_path=str(path),
+            image_path=self._rgb_ppm(tmp_path),
             seed=3,
             image_rounds=(15,),
         )
         report = bench.run_image_experiment(cfg, out_dir=str(tmp_path))
         assert (tmp_path / "recovered_15.ppm").exists()
         assert len(report) == 2
+
+    def test_report_pools_channel_errors_by_energy(self, tmp_path):
+        path = self._rgb_ppm(tmp_path)
+        cfg = replace(bench.PRESETS["image_small"], image_path=path, seed=3, image_rounds=(5, 10))
+        report = bench.run_image_experiment(cfg)
+        # each channel recomputed through the public API, seeded as the harness seeds it
+        energy, dist_sq = 0.0, {(n, algo): 0.0 for n in (5, 10) for algo in ("alt", "wf")}
+        for ci, x0 in enumerate(load_image(path).channels):
+            e = cdp_ensemble(16, cfg.image_L, seed=derive_seed(3, ci, 0, 0))
+            b = measure(e, x0)
+            z0 = spectral_init(e, b, iters=cfg.power_iters, rng=rng_stream(3, ci, 0, 2)).z0
+            alt = altmin_solve(e, b, z0, SolverConfig(max_rounds=10, schedules=cfg.alt), truth=x0)
+            wf = wf_solve(e, b, z0, SolverConfig(max_rounds=20, schedules=cfg.wf), truth=x0)
+            norm_sq = float(np.linalg.norm(x0) ** 2)
+            energy += norm_sq
+            for n in (5, 10):
+                assert alt.trace[n].round == n and wf.trace[2 * n].round == 2 * n
+                dist_sq[n, "alt"] += norm_sq * alt.trace[n].rel_error ** 2
+                dist_sq[n, "wf"] += norm_sq * wf.trace[2 * n].rel_error ** 2
+        expected = [float(np.sqrt(dist_sq[n, algo] / energy)) for n in (5, 10) for algo in ("alt", "wf")]
+        assert [(r["n"], r["algo"]) for r in report] == [(5, "alt"), (5, "wf"), (10, "alt"), (10, "wf")]
+        assert [r["rel_error"] for r in report] == expected
+
+    def test_diverged_channel_is_written_black(self, tmp_path):
+        cfg = replace(
+            bench.PRESETS["image_small"],
+            image_path=self._rgb_ppm(tmp_path),
+            seed=3,
+            image_rounds=(5, 10),
+            alt=Schedules(lam0=30.0, step=1e3),  # overflows within the budget
+        )
+        report = bench.run_image_experiment(cfg, out_dir=str(tmp_path))
+        assert all(r["rel_error"] == np.inf for r in report if r["algo"] == "alt")
+        assert all(np.isfinite(r["rel_error"]) for r in report if r["algo"] == "wf")
+        recovered = load_image(tmp_path / "recovered_10.ppm")
+        assert all(not ch.any() for ch in recovered.channels)
 
 
 CHECK_NAMES = [

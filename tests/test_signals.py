@@ -133,6 +133,15 @@ class TestImageIO:
         save_image(second, load_image(first))
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_save_rejects_non_finite_values(self, tmp_path, bad):
+        channel = np.full(4, 0.5)
+        channel[1] = bad
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="finite"):
+            save_image(path, ImageChannels(width=2, height=2, channels=(channel,)))
+        assert not path.exists()
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0")

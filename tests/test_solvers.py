@@ -60,6 +60,8 @@ def with_step(sched, kind):
 
 ALT_EXACT = with_step(ALT, "exact")
 WF_EXACT = with_step(WF, "exact")
+# each solver's own schedule: the flow's quartic loss takes no coupling
+SCHEDULE_OF = {altmin_solve: ALT, wf_solve: WF}
 
 
 def instance(seed, d=32, oversampling=6):
@@ -359,6 +361,18 @@ class TestWfSolve:
         e, x0, b, init = instance(16)
         res = wf_solve(e, b, init.z0, SolverConfig(max_rounds=5, schedules=WF))
         assert res.x_final is res.z_final and res.y_final is res.z_final
+
+    @pytest.mark.parametrize("coupling", [dict(lam0=300.0), dict(lam_decay=0.01)])
+    def test_coupling_warns_that_it_is_ignored(self, coupling):
+        e, x0, b, init = instance(3, d=16)
+        coupled = Schedules(tau0=330.0, mu_max=0.2, **coupling)
+        with pytest.warns(UserWarning, match="no coupling"):
+            res = wf_solve(e, b, init.z0, SolverConfig(max_rounds=20, schedules=coupled))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the flow's own schedule does not warn
+            plain = wf_solve(e, b, init.z0, SolverConfig(max_rounds=20, schedules=WF))
+        assert np.array_equal(res.z_final, plain.z_final)
+        assert all(row.lam == 0.0 for row in res.trace)
 
     def test_linesearch_mode_descends(self):
         e, x0, b, init = instance(17)
@@ -730,7 +744,7 @@ class TestZeroStart:
     @pytest.mark.parametrize("solve", [altmin_solve, wf_solve], ids=["alt", "wf"])
     @pytest.mark.parametrize("kind", STEP_KINDS)
     def test_rejected(self, solve, kind):
-        cfg = SolverConfig(max_rounds=2, schedules=with_step(ALT, kind))
+        cfg = SolverConfig(max_rounds=2, schedules=with_step(SCHEDULE_OF[solve], kind))
         with pytest.raises(ValueError, match="nonzero"):
             solve(_CONTRACT_E, _CONTRACT_B, np.zeros(8), cfg)
 
@@ -744,7 +758,7 @@ class TestNonfiniteStartOrTruth:
     def test_start_rejected(self, solve, kind, value):
         z0 = _CONTRACT_X.copy()
         z0[3] = value
-        cfg = SolverConfig(max_rounds=2, schedules=with_step(ALT, kind))
+        cfg = SolverConfig(max_rounds=2, schedules=with_step(SCHEDULE_OF[solve], kind))
         with pytest.raises(ValueError, match="z0 must be finite"):
             solve(_CONTRACT_E, _CONTRACT_B, z0, cfg)
 
@@ -753,7 +767,7 @@ class TestNonfiniteStartOrTruth:
     def test_truth_rejected(self, solve, value):
         truth = _CONTRACT_X.copy()
         truth[0] = value
-        cfg = SolverConfig(max_rounds=2, schedules=ALT, stop_tolerance=1e-6)
+        cfg = SolverConfig(max_rounds=2, schedules=SCHEDULE_OF[solve], stop_tolerance=1e-6)
         with pytest.raises(ValueError, match="truth must be finite"):
             solve(_CONTRACT_E, _CONTRACT_B, _CONTRACT_X, cfg, truth=truth)
 
