@@ -24,6 +24,7 @@ __all__ = [
     "adjoint",
     "measure",
     "check_intensities",
+    "as_field_signal",
     "dense_frame",
     "sum_column_norms_sq",
     "random_vector",
@@ -185,6 +186,16 @@ def measure(e, x, noise_std=0.0, rng=None):
             raise ValueError("noisy measurements need an rng")
         b = np.maximum(b + noise_std * rng.standard_normal(e.N), 0.0)
     return b
+
+
+def as_field_signal(e, v, name):
+    """A fresh copy of ``v`` in ``e``'s dtype; ValueError unless finite, 1-D of length d, and real on a real frame."""
+    v = _check_signal(e, v)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    if not e.is_complex and np.any(np.imag(v)):
+        raise ValueError(f"{name} has a nonzero imaginary part, but the frame is real")
+    return (v if e.is_complex else v.real).astype(complex if e.is_complex else float)
 
 
 def check_intensities(e, b):

@@ -5,8 +5,8 @@ One alternating round is a gradient step in x followed by a gradient step in
 y *at the updated x* (Gauss-Seidel ordering), so a round costs two iterations
 when budgets are matched against the single-variable flow. ``Schedules.step``
 picks the step: the ramp min(1 - e^{-tau/tau0}, mu_max) divided by ||z0||^2,
-a constant, or an exact line search using the one-block quadratic form, which
-is exact because the split loss is quadratic in each variable separately.
+a constant, or "exact", a line search that is exact on the split loss's
+quadratic blocks but not on the flow's quartic (see :class:`Schedules`).
 
 Scheduled steps (the ramp and a constant) multiply the plain Wirtinger
 derivative (d/d conjugate), the normalization under which the flow
@@ -30,7 +30,7 @@ import numpy as np
 from .core import l2_norm, relative_error
 # adjoint is unused here but stays a module attribute: instrumentation
 # (phasebench/tracer.py) patches forward and adjoint in every namespace
-from .measurement import Ensemble, adjoint, check_intensities, forward, upper_frame_bound  # noqa: F401
+from .measurement import Ensemble, adjoint, as_field_signal, check_intensities, forward, upper_frame_bound  # noqa: F401
 from .objective import (
     Residuals,
     residuals,
@@ -65,13 +65,17 @@ class Schedules:
 
     step None (default):    the ramp min(1 - e^{-tau/tau0}, mu_max) / ||z0||^2
     step gamma > 0:         gamma at every round, no cap and no ||z0||^2 scale
-    step "exact":           the exact line search along each block gradient
+    step "exact":           a line search, exact on each block, a model step on the flow
     coupling at round tau:  lam0 * e^{-lam_decay * tau}
 
     tau0 and mu_max belong to the ramp and stay None for the other kinds. A
     constant keeps the ramp's unit, the Wirtinger derivative: it is applied
     as gamma / 2 to ``split_grad_x`` and ``split_grad_y`` and gamma / 4 to
-    ``wf_grad``, so ``fixed_step``'s value is passed as it is.
+    ``wf_grad``, so ``fixed_step``'s value is passed as it is. The flow's
+    "exact" step ||g||^2 / wf_quad_form minimizes the quartic's near-solution
+    curvature model along g, not the quartic: on real frames near the
+    solution it predicts 4/3 of the exact step's decrease, and it promises
+    no monotone descent. ROADMAP item 1 replaces it.
     """
 
     tau0: float | None = None
@@ -160,8 +164,7 @@ def fixed_step(e, z0, lam):
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be nonnegative and finite")
-    if not np.all(np.isfinite(z0)):
-        raise ValueError("z0 must be finite")
+    z0 = as_field_signal(e, z0, "z0")
     curvature = (upper_frame_bound(e) / e.N) * float(np.max(np.abs(forward(e, z0)) ** 2)) + lam
     if curvature == 0.0:
         raise ValueError("z0 = 0 with lam = 0 leaves the step unbounded")
@@ -317,23 +320,18 @@ def _solve(e, b, z0, cfg, truth, rounds):
     estimate) it reached; the error of each row is filled in here.
     """
     b = check_intensities(e, b)
-    z0 = np.asarray(z0)
-    if not np.all(np.isfinite(z0)):
-        raise ValueError("z0 must be finite")
-    sq_norm = l2_norm(z0) ** 2
+    z = as_field_signal(e, z0, "z0")
+    sq_norm = l2_norm(np.asarray(z0)) ** 2  # z0 as given, like the row-0 error: a complex z0 keeps its bits on a real frame
     if sq_norm == 0.0:
         raise ValueError("z0 must be nonzero: x = y = 0 is a critical point of both losses, so no step moves it")
     if truth is not None and not np.all(np.isfinite(truth)):
         raise ValueError("truth must be finite")
-    if not e.is_complex and np.any(np.imag(z0)):
-        raise ValueError("z0 has a nonzero imaginary part, but the frame is real")
     if e.maybe_rank_deficient:
         warnings.warn(
             f"frame has N={e.N} < d={e.d}; the split loss is not coercive "
             "for rank-deficient frames and the solver may not converge",
             stacklevel=3,
         )
-    z = (z0 if e.is_complex else z0.real).astype(complex if e.is_complex else float, copy=True)
     precision = _Precision(cfg, e, b)
     steps = rounds(e, b, z, cfg, sq_norm, precision)
 

@@ -11,9 +11,11 @@ from phasesplit.analysis import (
 from phasesplit.core import rng_stream
 from phasesplit.measurement import (
     Ensemble,
+    cdp_ensemble,
     forward,
     gaussian_ensemble,
     measure,
+    random_vector,
 )
 from phasesplit.objective import split_grad, split_quad_form, wf_grad
 from phasesplit.solvers import Schedules, SolverConfig, altmin_solve, wf_solve
@@ -215,10 +217,33 @@ class TestSpeedupDiagnostic:
             assert rep.predicted_E_decrease == pytest.approx(-2.0 * dec_e, rel=1e-9)
             assert rep.predicted_G_decrease == pytest.approx(-4.0 / 3.0 * dec_g, rel=0.01)
 
-    def test_complex_ensembles_rejected(self):
-        e = gaussian_ensemble(16, 128, field="complex", seed=16)
-        with pytest.raises(ValueError):
-            speedup_diagnostic(e, rng_stream(16, 1).standard_normal(16), 1e-3)
+    @pytest.mark.parametrize("make", [
+        lambda seed: gaussian_ensemble(64, 512, seed=seed),
+        lambda seed: cdp_ensemble(64, 8, seed=seed),
+    ], ids=["complex", "cdp"])
+    def test_complex_and_cdp_frames_give_a_finite_ratio(self, make):
+        # the README reports these ratios without gating them
+        for seed in range(5):
+            e = make(3000 + seed)
+            x0 = random_vector(e, rng_stream(3000, seed))
+            rep = speedup_diagnostic(e, x0, 1e-3, rng=rng_stream(3000, seed, 1))
+            assert np.isfinite(rep.ratio) and rep.ratio > 0
+            assert rep.predicted_E_decrease < 0 and rep.predicted_G_decrease < 0
+            assert rep.proximity == pytest.approx(1e-3, rel=1e-12)
+            # the perturbation is the frame field's draw, not a real one
+            delta = random_vector(e, rng_stream(3000, seed, 1))
+            z = x0 + delta * (1e-3 * np.linalg.norm(x0) / np.linalg.norm(delta))
+            gx, _ = split_grad(e, z, z, measure(e, x0), 0.0)
+            sq = np.linalg.norm(gx) ** 2
+            expected = -(sq * sq) / (2.0 * split_quad_form(e, z, gx, 0.0))
+            assert rep.predicted_E_decrease == pytest.approx(expected, rel=1e-9)
+
+    def test_non_finite_start_rejected(self):
+        e = cdp_ensemble(16, 4, seed=16)
+        x0 = random_vector(e, rng_stream(16, 1))
+        x0[3] = np.nan
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            speedup_diagnostic(e, x0, 1e-3)
 
     def test_complex_start_on_real_frame_rejected(self):
         # as in _solve: the imaginary part is not silently dropped

@@ -133,7 +133,7 @@ class TestConfigParsing:
         assert all(key == name for key, name in config_keys.items())
         assert set(config_keys) == {
             "model", "signal", "algo", "d", "trials", "iterations", "seed", "workers",
-            "success_threshold", "stop_tol", "power_iters", "image_path", "image_L", "grid", "image_rounds",
+            "stop_tol", "power_iters", "image_path", "image_L", "grid", "image_rounds",
         }
         assert bench.parse_config("stop_tol=1e-6\nimage_L=3\n").stop_tol == 1e-6
 
@@ -282,6 +282,16 @@ class TestConvergence:
         _, _, _, summary = bench.run_convergence_curve(cfg)
         assert summary["alt_rounds"] == 100
         assert summary["wf_iterations"] == 2 * summary["alt_rounds"]
+
+    def test_diverged_solve_reports_inf(self):
+        # the last finite iterate of a diverged solve is no final estimate
+        cfg = bench.ExperimentConfig(experiment="converge", d=16, iterations=40, alt=Schedules(lam0=300.0, step=1e3))
+        alt, wf, _, summary = bench.run_convergence_curve(cfg)
+        assert alt.diverged and not wf.diverged
+        assert summary["alt_final_rel_error"] == summary["nuclear_dist_lhs"] == float("inf")
+        assert np.isfinite(summary["wf_final_rel_error"])
+        for key in ("objective_delta_sq", "stability_rhs_computable_part"):
+            assert type(summary[key]) is float
 
     def test_validates_as_converge(self):
         with pytest.raises(ValueError, match="mask counts"):
@@ -539,13 +549,12 @@ class TestCli:
             ("image", "preset=image_small\niterations=1\n", "iterations must be >= 2"),
             ("image", "preset=image_small\nimage_L=0\n", "image_L"),
             ("phase-transition", "stop_tol=-1e-8\n", "stop_tol"),
-            ("converge", "success_threshold=0\n", "success_threshold"),
             ("phase-transition", "d=16\ngrid=0.01,4\n", "round(grid * d) >= 1"),
             ("converge", "seed=-2\n", "seed"),
             ("converge", "d=15\n", "d must be even"),
             ("phase-transition", "preset=gaussian_lowpass\nd=24\n", "d/8 must be even"),
             ("phase-transition", "iterations=1\n", "iterations must be >= 2"),
-            ("phase-transition", "success_threshold=nan\n", "success_threshold"),
+            ("phase-transition", "success_threshold=1e-5\n", "unknown config key 'success_threshold'"),
             ("phase-transition", "alt_mu_max=nan\n", "finite"),
             ("phase-transition", "alt_mu_max=2\n", "exceeds 1"),
             ("converge", "wf_mu_max=1.5\n", "exceeds 1"),

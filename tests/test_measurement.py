@@ -13,6 +13,7 @@ from phasesplit.measurement import (
     CDP_ATOM_PROBS,
     Ensemble,
     adjoint,
+    as_field_signal,
     cdp_ensemble,
     dense_frame,
     forward,
@@ -388,6 +389,41 @@ class TestFrameBound:
         e = cdp_ensemble(8, 3, seed=19)
         dense = dense_frame(e)
         assert sum_column_norms_sq(e) == pytest.approx(np.sum(np.abs(dense) ** 2), rel=1e-12)
+
+
+class TestAsFieldSignal:
+    """The one start check of the solvers and the speedup diagnostic."""
+
+    FRAMES = [gaussian_ensemble(6, 12, field="real"), gaussian_ensemble(6, 12), cdp_ensemble(6, 2)]
+
+    @pytest.mark.parametrize("e", FRAMES, ids=["real", "complex", "cdp"])
+    def test_fresh_copy_in_the_ensemble_dtype(self, e):
+        v = rng_stream(3, 1).standard_normal(6)
+        out = as_field_signal(e, v, "z0")
+        assert out.dtype == (np.complex128 if e.is_complex else np.float64)
+        assert np.array_equal(out, v) and not np.shares_memory(out, v)
+
+    @pytest.mark.parametrize("e", FRAMES, ids=["real", "complex", "cdp"])
+    @pytest.mark.parametrize("v", [np.ones(5), np.ones((6, 1)), np.float64(1.0)], ids=["short", "2-D", "scalar"])
+    def test_shape_is_checked(self, e, v):
+        with pytest.raises(ValueError, match="does not match d=6"):
+            as_field_signal(e, v, "z0")
+
+    @pytest.mark.parametrize("e", FRAMES, ids=["real", "complex", "cdp"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_is_rejected(self, e, value):
+        v = np.ones(6, dtype=complex)
+        v[2] = value
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            as_field_signal(e, v, "x0")
+
+    def test_imaginary_part_on_a_real_frame(self):
+        e, v = self.FRAMES[0], rng_stream(3, 2).standard_normal(6)
+        with pytest.raises(ValueError, match="z0 has a nonzero imaginary part, but the frame is real"):
+            as_field_signal(e, v + 1e-300j, "z0")
+        out = as_field_signal(e, v + 0j, "z0")  # a zero imaginary part is the real signal
+        assert out.dtype == np.float64 and np.array_equal(out, v)
+        assert np.array_equal(as_field_signal(self.FRAMES[1], v + 1j, "z0"), v + 1j)
 
 
 class TestRandomVector:

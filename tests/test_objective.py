@@ -3,10 +3,11 @@ import pytest
 
 from phasesplit.analysis import fd_gradient_check
 from phasesplit.core import rng_stream
-from phasesplit.measurement import Ensemble, cdp_ensemble, gaussian_ensemble, measure
+from phasesplit.measurement import Ensemble, cdp_ensemble, gaussian_ensemble, measure, random_vector
 from phasesplit.objective import (
     residuals,
     split_grad,
+    split_grad_x,
     split_loss,
     split_quad_form,
     wf_grad,
@@ -151,6 +152,31 @@ class TestWfObjective:
         combined = gx + gy
         g = wf_grad(e, z, b)
         assert np.allclose(combined, g, rtol=1e-12, atol=1e-12 * np.linalg.norm(g))
+
+
+class TestDiagonalIdentity:
+    """At x = y the residual is real and the coupling vanishes: each block
+    gradient of the split loss is half the flow's, and the losses agree."""
+
+    @pytest.mark.parametrize("lam", [0.0, 300.0])
+    @pytest.mark.parametrize("make", [
+        lambda: gaussian_ensemble(16, 96, field="real", seed=19),
+        lambda: gaussian_ensemble(16, 96, seed=19),
+        lambda: cdp_ensemble(16, 6, seed=19),
+    ], ids=["real", "complex", "cdp"])
+    def test_split_meets_flow(self, make, lam):
+        e = make()
+        rng = rng_stream(19, 1)
+        b = measure(e, random_vector(e, rng))
+        z = random_vector(e, rng)
+        gx = split_grad_x(e, residuals(e, z, z, b), z, z, lam)
+        g = wf_grad(e, z, b)
+        half = g / 2.0
+        if e.is_complex:
+            assert np.max(np.abs(gx - half)) <= 1e-12 * np.max(np.abs(g))
+        else:
+            assert gx.dtype == half.dtype and gx.tobytes() == half.tobytes()
+        assert split_loss(e, z, z, b, lam) == wf_loss(e, z, b)
 
 
 class TestQuadForms:

@@ -344,6 +344,14 @@ class TestFixedStep:
         with pytest.raises(ValueError, match=match):
             fixed_step(e, z0, lam)
 
+    def test_complex_start_on_real_frame_rejected(self):
+        # the solvers' start rule: a real frame's step comes from a real start
+        e, x0, _, _ = _frame_instance("gaussian_real", d=8)
+        v = rng_stream(31, 0).standard_normal(8)
+        with pytest.raises(ValueError, match="z0 has a nonzero imaginary part, but the frame is real"):
+            fixed_step(e, x0 + 0.5j * v, 0.0)
+        assert fixed_step(e, x0 + 0j, 0.0) == fixed_step(e, x0, 0.0)
+
 
 class TestWfSolve:
     def test_exact_start_is_fixed(self):
