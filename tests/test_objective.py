@@ -155,7 +155,7 @@ class TestWfObjective:
 
 
 class TestDiagonalIdentity:
-    """At x = y the residual is real and the coupling vanishes: each block
+    """At x = y the residual is real and the coupling vanishes: the x-block
     gradient of the split loss is half the flow's, and the losses agree."""
 
     @pytest.mark.parametrize("lam", [0.0, 300.0])
