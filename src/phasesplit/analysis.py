@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import rng_stream
+from .core import l2_norm, rng_stream
 from .measurement import as_field_signal, forward, frame_top_eigenpair, measure, random_vector
 from .objective import (
     split_grad,
@@ -39,7 +39,7 @@ def _fd_directions(dim, complex_mode, rng):
     dirs = []
     for _ in range(20):
         v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
+        v /= l2_norm(v)
         dirs.append(v.astype(complex) if complex_mode else v)
     if complex_mode:
         dirs.extend([1j * v for v in list(dirs)])
@@ -120,7 +120,7 @@ def frame_bound_check(e, trials, rng=None):
         u = random_vector(e, rng)
         v = random_vector(e, rng)
         lhs = float(np.sum(np.abs(forward(e, u)) * np.abs(forward(e, v))))
-        slacks.append(lhs - bound * float(np.linalg.norm(u) * np.linalg.norm(v)))
+        slacks.append(lhs - bound * (l2_norm(u) * l2_norm(v)))
     worst = float(np.max(slacks))
     violations = sum(not slack <= 1e-8 for slack in slacks)
 
@@ -174,19 +174,19 @@ def speedup_diagnostic(e, x0, perturbation, rng=None):
         rng = rng_stream(0, 0x5D)
     x0 = as_field_signal(e, x0, "x0")
     delta = random_vector(e, rng)
-    delta *= perturbation * np.linalg.norm(x0) / np.linalg.norm(delta)
+    delta *= perturbation * l2_norm(x0) / l2_norm(delta)
     point = x0 + delta
     b = measure(e, x0)
 
     gx, _ = split_grad(e, point, point, b, 0.0)
-    sq = float(np.linalg.norm(gx) ** 2)
+    sq = l2_norm(gx) ** 2
     if sq == 0.0:
         raise ValueError("zero gradient: the point is critical, no ratio defined")
     q = split_quad_form(e, point, gx, 0.0)
     dec_split = -(sq * sq) / (2.0 * q)
 
     g = wf_grad(e, point, b)
-    sq_g = float(np.linalg.norm(g) ** 2)
+    sq_g = l2_norm(g) ** 2
     wq = wf_quad_form(e, point, g)
     dec_flow = -(sq_g * sq_g) / (2.0 * wq)
 
@@ -194,7 +194,7 @@ def speedup_diagnostic(e, x0, perturbation, rng=None):
         predicted_E_decrease=dec_split,
         predicted_G_decrease=dec_flow,
         ratio=dec_flow / dec_split,
-        proximity=float(np.linalg.norm(delta) / np.linalg.norm(x0)),
+        proximity=l2_norm(delta) / l2_norm(x0),
     )
 
 

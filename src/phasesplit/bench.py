@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import analysis, signals
-from .core import best_phase, derive_seed, relative_error, rng_stream
+from .core import best_phase, derive_seed, l2_norm, relative_error, rng_stream
 from .measurement import cdp_ensemble, gaussian_ensemble, measure, upper_frame_bound
 # forward, adjoint and split_grad are unused here but stay module attributes:
 # instrumentation (phasebench/tracer.py) patches them in this namespace
@@ -404,7 +404,7 @@ def run_image_experiment(cfg, out_dir=None):
     for ci, x0 in enumerate(image.channels):
         e = cdp_ensemble(d, cfg.image_L, seed=derive_seed(cfg.seed, ci, 0, 0))
         alt, wf = _solve_pair(cfg, e, x0, ci, 0, max_n)
-        norm_sq = float(np.linalg.norm(x0) ** 2)
+        norm_sq = l2_norm(x0) ** 2
         total_energy += norm_sq
         for algo, result, stride in (("alt", alt, 1), ("wf", wf, 2)):
             # diverged runs have truncated traces; report inf past the break

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analysis
 from .bench import PRESETS
-from .core import rng_stream
+from .core import l2_norm, rng_stream
 from .measurement import CDP_ATOM_PROBS, CDP_ATOMS, adjoint, cdp_ensemble, dense_frame, forward
 from .measurement import gaussian_ensemble, measure, random_vector
 from .signals import random_gaussian_signal
@@ -39,7 +39,7 @@ def _adjoint_gap(e):
     for _ in range(100):
         v, w = random_vector(e, rng), rng.standard_normal(e.N) + 1j * rng.standard_normal(e.N)
         fv = forward(e, v)
-        gaps.append(abs(np.vdot(fv, w) - np.vdot(v, adjoint(e, w))) / (np.linalg.norm(fv) * np.linalg.norm(w)))
+        gaps.append(abs(np.vdot(fv, w) - np.vdot(v, adjoint(e, w))) / (l2_norm(fv) * l2_norm(w)))
     return float(np.max(gaps))
 
 
@@ -48,7 +48,7 @@ def _cdp_fft_vs_dense():
     e = cdp_ensemble(32, 3, seed=104)
     frame_h, rng = dense_frame(e).conj().T, rng_stream(104, 1)
     vs = [random_vector(e, rng) for _ in range(20)]
-    return float(np.max([np.linalg.norm(forward(e, v) - frame_h @ v) / np.linalg.norm(frame_h @ v) for v in vs]))
+    return float(np.max([l2_norm(forward(e, v) - frame_h @ v) / l2_norm(frame_h @ v) for v in vs]))
 
 
 def _frame_bound(trials):

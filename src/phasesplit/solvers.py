@@ -4,9 +4,10 @@ baseline on the quartic loss.
 One alternating round is a gradient step in x followed by a gradient step in
 y *at the updated x* (Gauss-Seidel ordering), so a round costs two iterations
 when budgets are matched against the single-variable flow. ``Schedules.step``
-picks the step: the ramp min(1 - e^{-tau/tau0}, mu_max) divided by ||z0||^2,
-a constant, or "exact", a line search that is exact on the split loss's
-quadratic blocks but not on the flow's quartic (see :class:`Schedules`).
+picks the step and one rule, ``_step_rule``, gives every block and every flow
+iteration its step from it: the ramp min(1 - e^{-tau/tau0}, mu_max) divided
+by ||z0||^2, a constant, or "exact", a line search that is exact on the split
+loss's quadratic blocks but not on the flow's quartic (see :class:`Schedules`).
 
 Scheduled steps (the ramp and a constant) multiply the plain Wirtinger
 derivative (d/d conjugate), the normalization under which the flow
@@ -68,14 +69,15 @@ class Schedules:
     step "exact":           a line search, exact on each block, a model step on the flow
     coupling at round tau:  lam0 * e^{-lam_decay * tau}
 
-    tau0 and mu_max belong to the ramp and stay None for the other kinds. A
-    constant keeps the ramp's unit, the Wirtinger derivative: it is applied
-    as gamma / 2 to ``split_grad_x`` and ``split_grad_y`` and gamma / 4 to
-    ``wf_grad``, so ``fixed_step``'s value is passed as it is. The flow's
-    "exact" step ||g||^2 / wf_quad_form minimizes the quartic's near-solution
-    curvature model along g, not the quartic: on real frames near the
-    solution it predicts 4/3 of the exact step's decrease, and it promises
-    no monotone descent. ROADMAP item 1 replaces it.
+    ``_step_rule`` reads the step kind once per solve, so no round body
+    branches on it. tau0 and mu_max belong to the ramp and stay None for the
+    other kinds. A constant keeps the ramp's unit, the Wirtinger derivative:
+    it is applied as gamma / 2 to ``split_grad_x`` and ``split_grad_y`` and
+    gamma / 4 to ``wf_grad``, so ``fixed_step``'s value is passed as it is.
+    The flow's "exact" step ||g||^2 / wf_quad_form minimizes the quartic's
+    near-solution curvature model along g, not the quartic: on real frames
+    near the solution it predicts 4/3 of the exact step's decrease, and it
+    promises no monotone descent. ROADMAP item 1 replaces it.
     """
 
     tau0: float | None = None
@@ -171,24 +173,24 @@ def fixed_step(e, z0, lam):
     return 1.0 / (3.0 * curvature)
 
 
-def _scheduled(schedules, sq_norm, unit):
-    """The step of one solve, read once from ``schedules``: the multiplier of
-    an exported gradient that is ``unit`` times the Wirtinger derivative, as a
-    function of the round, or None under the exact line search."""
+def _step_rule(schedules, sq_norm, unit):
+    """The step of one solve, read once from ``schedules``: ``step(tau, g,
+    curvature)`` multiplies the exported gradient ``g``, ``unit`` times the
+    Wirtinger derivative, at round ``tau``. The ramp and the constant ignore
+    ``curvature``; the line search calls it for the quadratic form q along g
+    and returns ||g||^2 / (2 q), the argmin of the one-block quadratic model,
+    or 0.0 at a critical point."""
+    if schedules.step == "exact":
+        def step(tau, g, curvature):
+            q, sq_grad_norm = curvature(), l2_norm(g) ** 2
+            return 0.0 if sq_grad_norm == 0.0 or q == 0.0 else sq_grad_norm / (2.0 * q)
+
+        return step
     if schedules.step is None:
         tau0, mu_max, divisor = schedules.tau0, schedules.mu_max, unit * sq_norm
-        return lambda tau: step_schedule(tau, tau0, mu_max) / divisor
-    if schedules.step == "exact":
-        return None
+        return lambda tau, g, curvature: step_schedule(tau, tau0, mu_max) / divisor
     constant = schedules.step / unit
-    return lambda tau: constant
-
-
-def _linesearch_step(sq_grad_norm, quad_form_value):
-    # argmin of the exact one-block quadratic model; 0 at a critical point
-    if sq_grad_norm == 0.0 or quad_form_value == 0.0:
-        return 0.0
-    return sq_grad_norm / (2.0 * quad_form_value)
+    return lambda tau, g, curvature: constant
 
 
 # A single-precision loss bottoms out near eps32^2 mean(b^2) (1.4-1.6e-14 of
@@ -255,7 +257,7 @@ class _Precision:
 def _alt_rounds(e, b, z, cfg, sq_norm, precision):
     """Alternating rounds from x = y = z (4 matvecs each, 6 with line search)."""
     sched = cfg.schedules
-    scheduled = _scheduled(sched, sq_norm, 2.0)  # mu multiplies the Wirtinger derivative = gx / 2
+    step = _step_rule(sched, sq_norm, 2.0)  # mu multiplies the Wirtinger derivative = gx / 2
     x, y = z, z.copy()
     gx, gy, update, mid, diff = (np.empty_like(z) for _ in range(5))
     r, fx, fy, weights = (np.empty(e.N, z.dtype) for _ in range(4))
@@ -270,17 +272,11 @@ def _alt_rounds(e, b, z, cfg, sq_norm, precision):
             res = Residuals(*parts)
         lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
         split_grad_x(e, res, x, y, lam, out=gx)
-        if scheduled is None:
-            q = split_quad_form(e, y, gx, lam, f_anchor=res.fy)
-            alpha = _linesearch_step(l2_norm(gx) ** 2, q)
-        else:
-            alpha = beta = scheduled(tau)
+        alpha = step(tau, gx, lambda: split_quad_form(e, y, gx, lam, f_anchor=res.fy))
         np.subtract(x, np.multiply(alpha, gx, update), x)
         residuals(e, x, y, b, fy=res.fy, out=res)
         split_grad_y(e, res, x, y, lam, out=gy)
-        if scheduled is None:
-            q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
-            beta = _linesearch_step(l2_norm(gy) ** 2, q)
+        beta = step(tau, gy, lambda: split_quad_form(e, x, gy, lam, f_anchor=res.fx))
         np.subtract(y, np.multiply(beta, gy, update), y)
         residuals(e, x, y, b, fx=res.fx, out=res)
         value = split_loss(e, x, y, b, lam, res=res)
@@ -290,7 +286,7 @@ def _alt_rounds(e, b, z, cfg, sq_norm, precision):
 
 def _wf_rounds(e, b, z, cfg, sq_norm, precision):
     """Flow iterations from z (2 matvecs each, 3 with line search)."""
-    scheduled = _scheduled(cfg.schedules, sq_norm, 4.0)  # mu multiplies the reference-convention derivative = g / 4
+    step = _step_rule(cfg.schedules, sq_norm, 4.0)  # mu multiplies the reference-convention derivative = g / 4
     g, update = np.empty_like(z), np.empty_like(z)
     res = Residuals(np.empty(e.N), np.empty(e.N, z.dtype), None, np.empty(e.N, z.dtype), np.empty(e.N))
     wf_residuals(e, z, b, out=res)
@@ -301,11 +297,8 @@ def _wf_rounds(e, b, z, cfg, sq_norm, precision):
             e, b, (z, g, update, *parts) = precision.cast(e, b, (z, g, update, *vars(res).values()))
             res = Residuals(*parts)
         wf_grad(e, z, b, res=res, out=g)
-        if scheduled is None:
-            # step ||g||^2 / q, the minimizer of the flow's curvature model along g
-            delta = _linesearch_step(l2_norm(g) ** 2, wf_quad_form(e, z, g, fz=res.fx) / 2.0)
-        else:
-            delta = scheduled(tau)
+        # the line search's step ||g||^2 / q minimizes the flow's curvature model along g
+        delta = step(tau, g, lambda: wf_quad_form(e, z, g, fz=res.fx) / 2.0)
         np.subtract(z, np.multiply(delta, g, update), z)
         wf_residuals(e, z, b, out=res)
         value = wf_loss(e, z, b, res=res)
@@ -321,7 +314,7 @@ def _solve(e, b, z0, cfg, truth, rounds):
     """
     b = check_intensities(e, b)
     z = as_field_signal(e, z0, "z0")
-    sq_norm = l2_norm(np.asarray(z0)) ** 2  # z0 as given, like the row-0 error: a complex z0 keeps its bits on a real frame
+    sq_norm = l2_norm(z) ** 2  # the field copy, like the row-0 error: a complex z0 runs as its real part on a real frame
     if sq_norm == 0.0:
         raise ValueError("z0 must be nonzero: x = y = 0 is a critical point of both losses, so no step moves it")
     if truth is not None and not np.all(np.isfinite(truth)):
@@ -339,7 +332,7 @@ def _solve(e, b, z0, cfg, truth, rounds):
         return None if truth is None else relative_error(truth, zv)
 
     trace = [next(steps)]
-    trace[0].rel_error = rel(z0)
+    trace[0].rel_error = rel(z)
     converged = False
     diverged = False
     rounds_used = 0

@@ -109,6 +109,9 @@ class TestConfigParsing:
         ({"model": "cdp", "grid": (4.5,)}, "mask counts"),
         ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam0=300.0)}, "no coupling"),
         ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam_decay=0.01)}, "no coupling"),
+        ({"algo": "sgd"}, "unknown algo 'sgd'"),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"image_rounds": (0,)}, "image_rounds must be positive"),
     ])
     def test_one_rule_set_for_every_runner(self, overrides, match):
         # an invalid config cannot be built, so no runner can receive one

@@ -90,6 +90,10 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(np.zeros(4), np.ones(4))
 
+    def test_two_dimensional_signal_rejected(self):
+        with pytest.raises(ValueError, match="signals must be 1-D vectors"):
+            relative_error(np.ones((2, 2)), np.ones((2, 2)))
+
 
 @st.composite
 def _vector_pairs(draw):

@@ -64,6 +64,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cdp_ensemble(4, 0)
 
+    def test_rejects_unknown_field(self):
+        with pytest.raises(ValueError, match="unknown field 'quaternion'"):
+            gaussian_ensemble(4, 6, field="quaternion")
+
 
 class TestPayloadContract:
     """An ensemble is its frame or its masks; every other attribute is read off it."""

@@ -142,6 +142,22 @@ class TestImageIO:
             save_image(path, ImageChannels(width=2, height=2, channels=(channel,)))
         assert not path.exists()
 
+    @pytest.mark.parametrize("channels, match", [
+        ((np.full(4, 0.5), np.full(4, 0.5)), "need 1 or 3 channels"),
+        ((np.full(3, 0.5),), "channel length does not match width\\*height"),
+    ], ids=["two-channels", "short-channel"])
+    def test_save_rejects_bad_channels(self, tmp_path, channels, match):
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match=match):
+            save_image(path, ImageChannels(width=2, height=2, channels=channels))
+        assert not path.exists()
+
+    def test_rejects_short_header(self, tmp_path):
+        path = tmp_path / "cut.pgm"
+        path.write_bytes(b"P5\n4 4")
+        with pytest.raises(ValueError, match="truncated image header"):
+            load_image(path)
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0")

@@ -353,6 +353,22 @@ class TestFixedStep:
         assert fixed_step(e, x0 + 0j, 0.0) == fixed_step(e, x0, 0.0)
 
 
+class TestLinesearchAtCriticalPoint:
+    """At the truth with exact intensities every gradient is exactly zero, so
+    the line search steps 0.0. Real frames only: on complex frames the split
+    residual at the truth is rounding noise, not zero."""
+
+    @pytest.mark.parametrize("solve, lam", [(altmin_solve, 0.0), (altmin_solve, 1.0), (wf_solve, 0.0)],
+                             ids=["alt-lam0", "alt-lam1", "wf"])
+    def test_steps_are_zero_and_truth_keeps_its_bits(self, solve, lam):
+        e = gaussian_ensemble(16, 96, field="real", seed=3)
+        x0 = random_gaussian_signal(16, rng_stream(3, 1)).real.copy()
+        cfg = SolverConfig(max_rounds=5, schedules=Schedules(lam0=lam, step="exact"))
+        res = solve(e, measure(e, x0), x0, cfg)
+        assert [row.mu for row in res.trace[1:]] == [0.0] * 5
+        assert _same_bytes(res.z_final, x0)
+
+
 class TestWfSolve:
     def test_exact_start_is_fixed(self):
         e, x0, b, _ = instance(14)
@@ -433,6 +449,12 @@ def _reference_mu(sched, tau):
     return step_schedule(tau, sched.tau0, sched.mu_max) if sched.step is None else sched.step
 
 
+def _reference_linesearch(g, q):
+    """||g||^2 / (2 q), the argmin of the one-block quadratic model; 0 at a critical point."""
+    sq = float(np.linalg.norm(g) ** 2)
+    return 0.0 if sq == 0.0 or q == 0.0 else sq / (2.0 * q)
+
+
 def _reference_alt_rounds(e, b, z, cfg, scale):
     """The alternating round as written before its buffers: fresh arrays
     for every result and np.linalg.norm for the line-search norms."""
@@ -446,7 +468,7 @@ def _reference_alt_rounds(e, b, z, cfg, scale):
         gx = split_grad_x(e, res, x, y, lam)
         if sched.step == "exact":
             q = split_quad_form(e, y, gx, lam, f_anchor=res.fy)
-            alpha = solvers._linesearch_step(float(np.linalg.norm(gx) ** 2), q)
+            alpha = _reference_linesearch(gx, q)
         else:
             alpha = beta = _reference_mu(sched, tau) / (2.0 * scale)
         x = x - alpha * gx
@@ -454,7 +476,7 @@ def _reference_alt_rounds(e, b, z, cfg, scale):
         gy = split_grad_y(e, res, x, y, lam)
         if sched.step == "exact":
             q = split_quad_form(e, x, gy, lam, f_anchor=res.fx)
-            beta = solvers._linesearch_step(float(np.linalg.norm(gy) ** 2), q)
+            beta = _reference_linesearch(gy, q)
         y = y - beta * gy
         res = residuals(e, x, y, b, fx=res.fx, fy=forward(e, y))
         value = split_loss(e, x, y, b, lam, res=res)
@@ -470,7 +492,7 @@ def _reference_wf_rounds(e, b, z, cfg, scale):
         g = wf_grad(e, z, b)
         if sched.step == "exact":
             q = wf_quad_form(e, z, g) / 2.0
-            delta = solvers._linesearch_step(float(np.linalg.norm(g) ** 2), q)
+            delta = _reference_linesearch(g, q)
         else:
             delta = _reference_mu(sched, tau) / (4.0 * scale)
         z = z - delta * g
@@ -486,17 +508,17 @@ def _reference_relative_error(x, y):
 def _reference_solve(e, b, z0, cfg, truth, rounds):
     """The shared loop as written before, on np.linalg.norm throughout."""
     sched = cfg.schedules
-    scale = float(np.linalg.norm(z0) ** 2) if sched.step is None else 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
         z = np.asarray(z0).astype(complex if e.is_complex else float, copy=True)
+    scale = float(np.linalg.norm(z) ** 2) if sched.step is None else 1.0
     steps = rounds(e, b, z, cfg, scale)
 
     def rel(v):
         return None if truth is None else _reference_relative_error(truth, v)
 
     trace = [next(steps)]
-    trace[0].rel_error = rel(z0)
+    trace[0].rel_error = rel(z)
     converged = diverged = False
     rounds_used = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -602,13 +624,13 @@ class TestRealFrameStart:
             solve(e, b, x0 + 0.5j * v, SolverConfig(max_rounds=2, schedules=sched))
 
     @pytest.mark.parametrize("solve, reference, sched", SOLVERS, ids=["alt", "wf"])
-    def test_zero_imaginary_part_keeps_its_bytes(self, solve, reference, sched):
+    def test_zero_imaginary_part_runs_as_the_real_start(self, solve, reference, sched):
         e, x0, b, z0 = _frame_instance("gaussian_real")
         cfg = SolverConfig(max_rounds=30, schedules=sched)
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
             got = solve(e, b, z0 + 0j, cfg, truth=x0)
-        _same_result(got, _reference_solve(e, b, z0 + 0j, cfg, x0, reference))
+        _same_result(got, solve(e, b, z0, cfg, truth=x0))
 
 
 @pytest.fixture
