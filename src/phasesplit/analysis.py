@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import l2_norm, rng_stream
+from .core import check_count, l2_norm, rng_stream
 from .measurement import as_field_signal, forward, frame_top_eigenpair, measure, random_vector
 from .objective import (
     split_grad,
@@ -109,8 +109,7 @@ def frame_bound_check(e, trials, rng=None):
     C is the upper frame bound; the inequality is tight for u = v = top
     eigenvector of F F^*, which is verified as well.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    check_count(trials, "trials")
     if rng is None:
         rng = rng_stream(0, 0xFB)
     bound, top = frame_top_eigenpair(e)

@@ -20,14 +20,14 @@ from functools import partial
 import numpy as np
 
 from . import analysis, signals
-from .core import best_phase, derive_seed, l2_norm, relative_error, rng_stream
+from .core import best_phase, check_count, derive_seed, l2_norm, relative_error, rng_stream
 from .measurement import cdp_ensemble, gaussian_ensemble, measure, upper_frame_bound
 # forward, adjoint and split_grad are unused here but stay module attributes:
 # instrumentation (phasebench/tracer.py) patches them in this namespace
 from .measurement import adjoint, forward  # noqa: F401
 from .objective import split_grad  # noqa: F401
 from .signals import load_image, random_gaussian_signal, random_lowpass_signal, save_image, ImageChannels
-from .solvers import Schedules, SolverConfig, _fmt, altmin_solve, wf_solve
+from .solvers import Schedules, SolverConfig, altmin_solve, csv_text, wf_solve
 from .spectral import spectral_init
 
 log = logging.getLogger(__name__)
@@ -90,22 +90,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown signal {self.signal!r}")
         if self.algo not in ("alt", "wf"):
             raise ValueError(f"unknown algo {self.algo!r}")
-        if min(self.d, self.trials, self.iterations, self.power_iters, self.image_L) < 1:
-            raise ValueError("d, trials, iterations, power_iters and image_L must be positive")
+        # experiments run iterations // 2 rounds, so iterations must be >= 2
+        for name, minimum in (("d", 1), ("trials", 1), ("iterations", 2), ("seed", 0), ("workers", 1),
+                              ("power_iters", 1), ("image_L", 1)):
+            check_count(getattr(self, name), name, minimum)
         if self.wf.lam0 or self.wf.lam_decay:
             raise ValueError("the flow's quartic loss has no coupling: wf lam0 and lam_decay must be 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
-            raise ValueError("stop_tol must be >= 0 and finite")
+        if isinstance(self.stop_tol, bool) or not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
+            raise ValueError(f"stop_tol must be a finite number >= 0, not {self.stop_tol!r}")
         if len(self.grid) == 0 or any(not 0 < g < np.inf for g in self.grid):
             raise ValueError("grid values must be positive and finite")
         if list(self.grid) != sorted(set(self.grid)):
             raise ValueError("grid must be strictly increasing")
-        if self.iterations < 2:
-            raise ValueError("experiments run iterations // 2 rounds, so iterations must be >= 2")
         signals.check_signal_size(self.signal, self.d)
         if self.model == "cdp":
             if any(not float(g).is_integer() for g in self.grid):
@@ -113,10 +109,10 @@ class ExperimentConfig:
         elif any(round(g * self.d) < 1 for g in self.grid):
             # _synthetic_instance draws N = round(g * d) measurements
             raise ValueError(f"gaussian grid values must give N = round(grid * d) >= 1 at d={self.d}")
-        if len(self.image_rounds) == 0 or any(n < 1 for n in self.image_rounds):
-            raise ValueError("image_rounds must be positive")
-        if list(self.image_rounds) != sorted(set(self.image_rounds)):
-            raise ValueError("image_rounds must be strictly increasing")
+        for n in self.image_rounds:
+            check_count(n, "image_rounds")
+        if not self.image_rounds or list(self.image_rounds) != sorted(set(self.image_rounds)):
+            raise ValueError("image_rounds must be nonempty and strictly increasing")
         return self
 
 
@@ -311,26 +307,15 @@ def run_phase_transition(cfg):
     rows = []
     for grid_value, errs in zip(cfg.grid, np.array(errors).reshape(len(cfg.grid), cfg.trials)):
         finite = errs[np.isfinite(errs)]
-        successes = int(np.sum(errs < SUCCESS_THRESHOLD))
-        rows.append(
-            PhaseTransitionRow(
-                ratio=float(grid_value),
-                trials=cfg.trials,
-                successes=successes,
-                mean_rel_error=float(np.mean(finite)) if finite.size else float("inf"),
-            )
-        )
-    print(f"phase transition: {len(tasks)} trials in {elapsed:.1f}s ({workers} workers)")
+        mean = float(np.mean(finite)) if finite.size else float("inf")
+        rows.append(PhaseTransitionRow(float(grid_value), cfg.trials, int(np.sum(errs < SUCCESS_THRESHOLD)), mean))
+    log.info("phase transition: %d trials in %.1fs (%d workers)", len(tasks), elapsed, workers)
     return rows
 
 
 def phase_transition_csv(rows):
-    lines = ["ratio,trials,successes,success_rate,mean_rel_error"]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r.ratio)},{r.trials},{r.successes},{_fmt(r.success_rate)},{_fmt(r.mean_rel_error)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = ((r.ratio, r.trials, r.successes, r.success_rate, r.mean_rel_error) for r in rows)
+    return csv_text("ratio,trials,successes,success_rate,mean_rel_error", rows)
 
 
 def run_convergence_curve(cfg):
@@ -370,17 +355,15 @@ def run_convergence_curve(cfg):
             "multiply the plain Wirtinger derivative of the half-squared misfit"
         ),
     }
-    print(f"convergence curve: {cfg.iterations} iterations in {elapsed:.1f}s")
+    log.info("convergence curve: %d iterations in %.1fs", cfg.iterations, elapsed)
     return alt, wf, x0, summary
 
 
 def convergence_csv(alt_result, wf_result):
     """Per-iteration curves aligned on total iteration count."""
-    lines = ["iter,algo,objective,rel_error"]
-    for algo, result, stride in (("alt", alt_result, 2), ("wf", wf_result, 1)):
-        for row in result.trace:
-            lines.append(f"{stride * row.round},{algo},{_fmt(row.objective)},{_fmt(row.rel_error)}")
-    return "\n".join(lines) + "\n"
+    runs = (("alt", alt_result, 2), ("wf", wf_result, 1))
+    rows = ((stride * r.round, algo, r.objective, r.rel_error) for algo, result, stride in runs for r in result.trace)
+    return csv_text("iter,algo,objective,rel_error", rows)
 
 
 def run_image_experiment(cfg, out_dir=None):
@@ -424,12 +407,10 @@ def run_image_experiment(cfg, out_dir=None):
         ext = "pgm" if len(image.channels) == 1 else "ppm"
         out = ImageChannels(width=image.width, height=image.height, channels=tuple(recovered))
         save_image(os.path.join(out_dir, f"recovered_{max_n}.{ext}"), out)
-    print(f"image experiment: {len(image.channels)} channels in {elapsed:.1f}s")
+    log.info("image experiment: %d channels in %.1fs", len(image.channels), elapsed)
     return report
 
 
 def image_report_csv(report):
-    lines = ["n,algo,iterations,rel_error"]
-    for row in report:
-        lines.append(f"{row['n']},{row['algo']},{row['iterations']},{_fmt(row['rel_error'])}")
-    return "\n".join(lines) + "\n"
+    rows = ((r["n"], r["algo"], r["iterations"], r["rel_error"]) for r in report)
+    return csv_text("n,algo,iterations,rel_error", rows)

@@ -10,6 +10,7 @@ for the image experiment).
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -64,6 +65,22 @@ def _load_config(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    logger = logging.getLogger("phasesplit")
+    level, out, err = logger.level, logging.StreamHandler(sys.stdout), logging.StreamHandler(sys.stderr)
+    out.addFilter(lambda record: record.levelno < logging.WARNING)
+    err.setLevel(logging.WARNING)
+    logger.setLevel(logging.INFO)
+    for handler in (out, err):
+        logger.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        for handler in (out, err):
+            logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _run(args):
     try:
         cfg = None if args.command == "check" else _load_config(args)
         if args.command == "image" and cfg.image_path:

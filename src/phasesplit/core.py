@@ -8,10 +8,12 @@ seed reproduces the same draws byte-for-byte on every platform.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 __all__ = [
+    "check_count",
     "rng_stream",
     "derive_seed",
     "phase_dist",
@@ -19,6 +21,12 @@ __all__ = [
     "relative_error",
     "l2_norm",
 ]
+
+
+def check_count(value, name, minimum=1):
+    """ValueError unless ``value`` is an integer >= ``minimum``: numpy's pass, a bool or a whole float does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, not {value!r}")
 
 
 def rng_stream(seed, *key):

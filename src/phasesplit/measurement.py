@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import rng_stream
+from .core import check_count, rng_stream
 
 __all__ = [
     "Ensemble",
@@ -110,8 +110,8 @@ def _complex_gaussian(rng, shape):
 
 def gaussian_ensemble(d, N, field="complex", seed=0):
     """Frame of N i.i.d. Gaussian columns in dimension d, fixed by ``seed``."""
-    if d < 1 or N < 1:
-        raise ValueError("d and N must be >= 1")
+    check_count(d, "d")
+    check_count(N, "N")
     rng = rng_stream(seed, 0xE5)
     if field == "complex":
         frame = _complex_gaussian(rng, (d, N))
@@ -125,8 +125,8 @@ def gaussian_ensemble(d, N, field="complex", seed=0):
 
 def cdp_ensemble(d, L, seed=0):
     """L random masks of length d; N = L*d intensity measurements."""
-    if d < 1 or L < 1:
-        raise ValueError("d and L must be >= 1")
+    check_count(d, "d")
+    check_count(L, "L")
     rng = rng_stream(seed, 0xE5)
     idx = rng.choice(CDP_ATOMS.size, size=(L, d), p=CDP_ATOM_PROBS)
     masks = CDP_ATOMS[idx]

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_count
+
 __all__ = [
     "signal_from_modes",
     "check_signal_size",
@@ -117,8 +119,8 @@ def load_image(path):
         tok, pos = _read_header_token(data, pos)
         tokens.append(tok)
     width, height, maxval = (int(t) for t in tokens)
-    if width <= 0 or height <= 0:
-        raise ValueError(f"bad image dimensions {width}x{height}")
+    check_count(width, "image width")
+    check_count(height, "image height")
     if maxval != 255:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import l2_norm, relative_error
+from .core import check_count, l2_norm, relative_error
 # adjoint is unused here but stays a module attribute: instrumentation
 # (phasebench/tracer.py) patches forward and adjoint in every namespace
 from .measurement import Ensemble, adjoint, as_field_signal, check_intensities, forward, upper_frame_bound  # noqa: F401
@@ -55,6 +55,7 @@ __all__ = [
     "fixed_step",
     "altmin_solve",
     "wf_solve",
+    "csv_text",
     "trace_to_csv",
     "TRACE_CSV_HEADER",
 ]
@@ -87,8 +88,9 @@ class Schedules:
     step: float | str | None = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite([v for v in (self.tau0, self.mu_max, self.lam0, self.lam_decay) if v is not None])):
-            raise ValueError("tau0, mu_max, lam0 and lam_decay must be finite")
+        given = [v for v in (self.tau0, self.mu_max, self.lam0, self.lam_decay) if v is not None]
+        if any(isinstance(v, bool) for v in given) or not np.all(np.isfinite(given)):
+            raise ValueError("tau0, mu_max, lam0 and lam_decay must be finite numbers, not bools")
         if self.lam0 < 0 or self.lam_decay < 0:
             raise ValueError("lam0 and lam_decay must be nonnegative")
         if self.step is None:
@@ -100,7 +102,9 @@ class Schedules:
                 raise ValueError(f"mu_max {self.mu_max!r} exceeds 1, which the step ramp never reaches")
         elif self.tau0 is not None or self.mu_max is not None:
             raise ValueError(f"tau0 and mu_max belong to the step ramp, not to step={self.step!r}")
-        elif self.step != "exact" and not (isinstance(self.step, numbers.Real) and 0 < self.step < math.inf):
+        elif self.step != "exact" and not (
+            isinstance(self.step, numbers.Real) and not isinstance(self.step, bool) and 0 < self.step < math.inf
+        ):
             raise ValueError(f"step must be None, 'exact' or a positive finite constant, not {self.step!r}")
 
 
@@ -112,8 +116,7 @@ class SolverConfig:
     precision: str = "double"  # or "mixed": single-precision rounds down to their floor first
 
     def __post_init__(self):
-        if not isinstance(self.max_rounds, (int, np.integer)) or self.max_rounds < 1:
-            raise ValueError("max_rounds must be an integer >= 1")
+        check_count(self.max_rounds, "max_rounds")
         if self.precision not in ("double", "mixed"):
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.precision == "mixed" and self.schedules.step == "exact":
@@ -121,8 +124,8 @@ class SolverConfig:
             # itself, so line-search traces would no longer be monotone
             raise ValueError("mixed precision runs scheduled steps only, not step='exact'")
         tol = self.stop_tolerance
-        if tol is not None and not (np.isfinite(tol) and tol >= 0):
-            raise ValueError("stop_tolerance must be nonnegative and finite")
+        if tol is not None and (isinstance(tol, bool) or not (np.isfinite(tol) and tol >= 0)):
+            raise ValueError(f"stop_tolerance must be a nonnegative finite number, not {tol!r}")
 
 
 @dataclass
@@ -333,8 +336,7 @@ def _solve(e, b, z0, cfg, truth, rounds):
 
     trace = [next(steps)]
     trace[0].rel_error = rel(z)
-    converged = False
-    diverged = False
+    converged = diverged = False
     rounds_used = 0
 
     # overflow here means divergence, which is reported via the flag
@@ -357,15 +359,8 @@ def _solve(e, b, z0, cfg, truth, rounds):
                     break
 
     x, y, z = precision.finish((x, y, z))
-    return SolveResult(
-        x_final=x,
-        y_final=y,
-        z_final=z,
-        trace=trace,
-        converged=converged,
-        rounds_used=rounds_used,
-        diverged=diverged,
-    )
+    return SolveResult(x_final=x, y_final=y, z_final=z, trace=trace, converged=converged,
+                       rounds_used=rounds_used, diverged=diverged)
 
 
 def altmin_solve(e, b, z0, cfg, truth=None):
@@ -394,16 +389,14 @@ def wf_solve(e, b, z0, cfg, truth=None):
 TRACE_CSV_HEADER = "round,objective,mu,lambda,rel_error"
 
 
-def _fmt(value):
-    """A float field of every CSV the package writes: repr(float), empty for None."""
-    return "" if value is None else repr(float(value))
+def csv_text(header, rows):
+    """Every CSV the package writes, by one field rule: a float as repr(float), None as empty, else str."""
+    def field(v):
+        return "" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    return "\n".join([header, *(",".join(map(field, row)) for row in rows)]) + "\n"
 
 
 def trace_to_csv(result):
     """Serialize a solve trace; identical runs produce identical bytes."""
-    lines = [TRACE_CSV_HEADER]
-    for row in result.trace:
-        lines.append(
-            f"{row.round},{_fmt(row.objective)},{_fmt(row.mu)},{_fmt(row.lam)},{_fmt(row.rel_error)}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(TRACE_CSV_HEADER, ((r.round, r.objective, r.mu, r.lam, r.rel_error) for r in result.trace))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import l2_norm
+from .core import check_count, l2_norm
 from .measurement import adjoint, check_intensities, forward, random_vector, sum_column_norms_sq
 
 __all__ = ["InitResult", "apply_spectral_matrix", "power_iteration", "spectral_init"]
@@ -36,8 +36,7 @@ def power_iteration(apply, v, iters):
     the last unit iterate. Stops early when ``apply(v)`` vanishes: its
     quotient is then 0 and ``v`` is kept.
     """
-    if not isinstance(iters, (int, np.integer)) or iters < 1:
-        raise ValueError("need an integer count of at least one power iteration")
+    check_count(iters, "iters")
     v = v / l2_norm(v)
     rayleigh = []
     for _ in range(iters):

@@ -124,6 +124,11 @@ class TestFrameBound:
         with pytest.raises(ValueError):
             frame_bound_check(gaussian_ensemble(4, 8, seed=8), trials=0)
 
+    @pytest.mark.parametrize("trials", [True, 5.0])
+    def test_trials_is_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            frame_bound_check(gaussian_ensemble(4, 8, seed=8), trials=trials)
+
 
 class TestNuclearDist:
     def test_identical_vectors(self):

@@ -105,18 +105,37 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("overrides, match", [
         ({"d": 15}, "d must be even"),
-        ({"iterations": 1}, "iterations must be >= 2"),
+        ({"iterations": 1}, "iterations must be an integer >= 2"),
         ({"model": "cdp", "grid": (4.5,)}, "mask counts"),
         ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam0=300.0)}, "no coupling"),
         ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam_decay=0.01)}, "no coupling"),
         ({"algo": "sgd"}, "unknown algo 'sgd'"),
-        ({"workers": 0}, "workers must be >= 1"),
-        ({"image_rounds": (0,)}, "image_rounds must be positive"),
+        ({"workers": 0}, "workers must be an integer >= 1"),
+        ({"image_rounds": (0,)}, "image_rounds must be an integer >= 1"),
+        # a count is an integer, not a bool or a float: seed=1.5 would run
+        # seed 1 under a repr that says 1.5, and d=16.0 would fail in numpy
+        ({"seed": 1.5}, "seed must be an integer >= 0, not 1.5"),
+        ({"seed": True}, "seed must be an integer >= 0, not True"),
+        ({"trials": 1.0}, "trials must be an integer >= 1, not 1.0"),
+        ({"trials": True}, "trials must be an integer >= 1, not True"),
+        ({"d": 16.0}, "d must be an integer >= 1, not 16.0"),
+        ({"workers": 2.0}, "workers must be an integer >= 1, not 2.0"),
+        ({"iterations": 400.0}, "iterations must be an integer >= 2, not 400.0"),
+        ({"power_iters": True}, "power_iters must be an integer >= 1, not True"),
+        ({"image_L": 15.0}, "image_L must be an integer >= 1, not 15.0"),
+        ({"image_rounds": (100, 125.0)}, "image_rounds must be an integer >= 1, not 125.0"),
+        ({"stop_tol": True}, "stop_tol must be a finite number >= 0, not True"),
     ])
     def test_one_rule_set_for_every_runner(self, overrides, match):
         # an invalid config cannot be built, so no runner can receive one
         with pytest.raises(ValueError, match=match):
             replace(bench.PRESETS["image_small"], **overrides)
+
+    def test_numpy_integer_counts_keep_their_bytes(self):
+        cfg = tiny_phase_config(trials=2, grid=(6.0,))
+        same = replace(cfg, d=np.int64(16), trials=np.int64(2), seed=np.int64(99), iterations=np.int64(400))
+        assert bench.phase_transition_csv(bench.run_phase_transition(same)) == bench.phase_transition_csv(
+            bench.run_phase_transition(cfg))
 
     @pytest.mark.parametrize("name", sorted(bench.PRESETS))
     def test_replace_validates_every_preset(self, name):
@@ -227,6 +246,14 @@ class TestPhaseTransition:
         with caplog.at_level(logging.WARNING, logger="phasesplit.bench"):
             assert bench.run_phase_transition(replace(cfg, workers=2)) == serial
         assert len(caplog.records) == 1 and "OpenBLAS" in caplog.records[0].getMessage()
+
+    def test_timing_is_logged_not_printed(self, capsys, caplog):
+        with caplog.at_level(logging.INFO, logger="phasesplit.bench"):
+            bench.run_phase_transition(tiny_phase_config(grid=(6.0,), trials=1))
+        assert capsys.readouterr().out == ""
+        [record] = caplog.records
+        assert record.levelno == logging.INFO
+        assert re.fullmatch(r"phase transition: 1 trials in \d+\.\ds \(1 workers\)", record.getMessage())
 
     def test_validates_as_phase_transition(self):
         # the config checks itself when built, so the runner never sees it
@@ -484,7 +511,7 @@ class TestCli:
             assert line.startswith(f"[pass] {name}: value=") and " threshold=" in line
         assert lines[-1] == f"wrote {tmp_path / 'checks.json'}"
 
-    def test_phase_transition_command(self, tmp_path):
+    def test_phase_transition_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(
             "d=16\ntrials=2\niterations=200\n"
@@ -496,6 +523,27 @@ class TestCli:
         assert code == 0
         text = (tmp_path / "phase_transition.csv").read_text()
         assert text.startswith("ratio,trials,successes,")
+        # the library logs its timing; the command prints it, as before
+        out = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"phase transition: 4 trials in \d+\.\ds \(1 workers\)", out[0])
+        assert out[1].startswith("ratio 2: ") and out[-1] == f"wrote {tmp_path / 'phase_transition.csv'}"
+
+    def test_log_records_print_only_while_a_command_runs(self, tmp_path, capsys, monkeypatch):
+        def sweep(cfg):
+            logging.getLogger("phasesplit.bench").info("timing %d", 1)
+            logging.getLogger("phasesplit.bench").warning("no OpenBLAS")
+            logging.getLogger("phasesplit.bench").debug("hidden")
+            return []
+
+        logger = logging.getLogger("phasesplit")
+        before = (list(logger.handlers), logger.level)
+        monkeypatch.setattr(bench, "run_phase_transition", sweep)
+        assert cli.main(["phase-transition", "--out", str(tmp_path)]) == 0
+        logging.getLogger("phasesplit.bench").info("after")
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "timing 1" and "after" not in captured.out
+        assert captured.err == "no OpenBLAS\n"  # warnings stay on stderr
+        assert (list(logger.handlers), logger.level) == before
 
     def test_seed_and_trials_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -549,14 +597,14 @@ class TestCli:
             ("converge", "d=16\nd=32\n", "config line 2: duplicate key 'd'"),
             ("image", "preset=image_small\npreset=image_small\n", "duplicate key 'preset'"),
             ("image", "preset=image_small\nd=15\n", "d must be even"),
-            ("image", "preset=image_small\niterations=1\n", "iterations must be >= 2"),
+            ("image", "preset=image_small\niterations=1\n", "iterations must be an integer >= 2"),
             ("image", "preset=image_small\nimage_L=0\n", "image_L"),
             ("phase-transition", "stop_tol=-1e-8\n", "stop_tol"),
             ("phase-transition", "d=16\ngrid=0.01,4\n", "round(grid * d) >= 1"),
             ("converge", "seed=-2\n", "seed"),
             ("converge", "d=15\n", "d must be even"),
             ("phase-transition", "preset=gaussian_lowpass\nd=24\n", "d/8 must be even"),
-            ("phase-transition", "iterations=1\n", "iterations must be >= 2"),
+            ("phase-transition", "iterations=1\n", "iterations must be an integer >= 2"),
             ("phase-transition", "success_threshold=1e-5\n", "unknown config key 'success_threshold'"),
             ("phase-transition", "alt_mu_max=nan\n", "finite"),
             ("phase-transition", "alt_mu_max=2\n", "exceeds 1"),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from phasesplit.core import (
+    check_count,
     derive_seed,
     l2_norm,
     phase_dist,
@@ -147,6 +148,25 @@ class TestBitwiseNorms:
         y = np.array([0, 2, 0, 5], dtype=dtype)
         assert np.vdot(y, x) == 0
         assert relative_error(x, y) == self.reference_relative_error(x, y)
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.int32(1), np.uint8(2)])
+    def test_integers_pass(self, value):
+        check_count(value, "trials")
+
+    def test_minimum_is_inclusive(self):
+        check_count(0, "seed", minimum=0)
+        check_count(2, "iterations", minimum=2)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 1.0, 1.5, np.float64(2.0), "3", None, 0, -1])
+    def test_rejects_and_names_the_field(self, value):
+        with pytest.raises(ValueError, match=r"trials must be an integer >= 1, not "):
+            check_count(value, "trials")
+
+    def test_message_shows_minimum_and_value(self):
+        with pytest.raises(ValueError, match=r"^iterations must be an integer >= 2, not 1$"):
+            check_count(1, "iterations", minimum=2)
 
 
 class TestRngStreams:

@@ -64,6 +64,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             cdp_ensemble(4, 0)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: gaussian_ensemble(16, 96.0), "N"),
+        (lambda: gaussian_ensemble(16.0, 96), "d"),
+        (lambda: gaussian_ensemble(True, 4), "d"),
+        (lambda: cdp_ensemble(16, 6.0), "L"),
+        (lambda: cdp_ensemble(16.0, 6), "d"),
+        (lambda: cdp_ensemble(4, True), "L"),
+    ])
+    def test_sizes_are_integers(self, make, name):
+        # a whole float would fail inside numpy, and True would run as 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            make()
+
+    def test_numpy_integer_sizes_keep_their_bytes(self):
+        a, b = gaussian_ensemble(np.int64(16), np.int64(96), seed=4), gaussian_ensemble(16, 96, seed=4)
+        assert (a.d, a.N) == (16, 96) and a.frame.tobytes() == b.frame.tobytes()
+        assert cdp_ensemble(np.int64(16), np.int64(6), seed=4).masks.tobytes() == cdp_ensemble(16, 6, seed=4).masks.tobytes()
+
     def test_rejects_unknown_field(self):
         with pytest.raises(ValueError, match="unknown field 'quaternion'"):
             gaussian_ensemble(4, 6, field="quaternion")

@@ -158,6 +158,16 @@ class TestImageIO:
         with pytest.raises(ValueError, match="truncated image header"):
             load_image(path)
 
+    @pytest.mark.parametrize("header, match", [
+        (b"P5\n0 4\n255\n", "image width must be an integer >= 1, not 0"),
+        (b"P6\n4 0\n255\n", "image height must be an integer >= 1, not 0"),
+    ])
+    def test_rejects_empty_dimensions(self, tmp_path, header, match):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=match):
+            load_image(path)
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0")

@@ -124,7 +124,7 @@ class TestSchedules:
         assert coupling_schedule(tau + gap, lam0, decay) <= coupling_schedule(tau, lam0, decay)
 
     @pytest.mark.parametrize("name", ["tau0", "mu_max", "lam0", "lam_decay"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, True])
     def test_rejects_nonfinite(self, name, value):
         numbers = dict(tau0=1.0, mu_max=0.2, lam0=1.0, lam_decay=0.0)
         numbers[name] = value
@@ -142,7 +142,7 @@ class TestSchedules:
         with pytest.raises(ValueError):
             SolverConfig(max_rounds=0, schedules=WF)
 
-    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf, -np.inf, "weird"])
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf, -np.inf, "weird", True])
     def test_rejects_bad_step(self, step):
         with pytest.raises(ValueError, match="step must be"):
             Schedules(step=step)
@@ -166,6 +166,8 @@ class TestSchedules:
         dict(max_rounds=2.5),
         dict(max_rounds=5, stop_tolerance=float("nan")),
         dict(max_rounds=5, stop_tolerance=float("inf")),
+        dict(max_rounds=True),
+        dict(max_rounds=5, stop_tolerance=True),
     ])
     def test_solver_config_rejects(self, bad):
         with pytest.raises(ValueError, match="max_rounds|stop_tolerance"):

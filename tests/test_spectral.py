@@ -45,8 +45,14 @@ class TestPowerIteration:
         assert rayleigh[-1] == pytest.approx(3.0, rel=1e-3)
 
     def test_needs_one_iteration(self):
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="iters must be an integer >= 1"):
             power_iteration(lambda u: u, np.ones(3), 0)
+
+    @pytest.mark.parametrize("iters", [True, 3.0])
+    def test_count_is_an_integer(self, iters):
+        # True would run as one iteration
+        with pytest.raises(ValueError, match="iters must be an integer >= 1"):
+            power_iteration(lambda u: u, np.ones(3), iters)
 
     def test_zero_map_keeps_last_iterate(self):
         rayleigh, v = power_iteration(lambda u: np.zeros_like(u), np.array([3.0, 4.0]), 5)
