@@ -96,6 +96,9 @@ class ExperimentConfig:
             check_count(getattr(self, name), name, minimum)
         if self.wf.lam0 or self.wf.lam_decay:
             raise ValueError("the flow's quartic loss has no coupling: wf lam0 and lam_decay must be 0")
+        if "exact" in (self.alt.step, self.wf.step):
+            # every experiment solve runs mixed precision (_run_solver), so this fails here, not mid-run
+            raise ValueError("experiments run mixed precision, which takes scheduled steps only, not step='exact'")
         if isinstance(self.stop_tol, bool) or not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be a finite number >= 0, not {self.stop_tol!r}")
         if len(self.grid) == 0 or any(not 0 < g < np.inf for g in self.grid):
@@ -238,12 +241,12 @@ def _measure_and_start(cfg, e, x0, grid_idx, trial_idx):
     return b, init.z0
 
 
-def _run_solver(cfg, algo, e, b, z0, x0, rounds, stop=None, precision="double"):
-    """``rounds`` alternating rounds, or the matched 2 * ``rounds`` flow iterations."""
+def _run_solver(cfg, algo, e, b, z0, x0, rounds, stop=None):
+    """``rounds`` alternating rounds, or the matched 2 * ``rounds`` flow iterations, in mixed precision."""
     if algo == "wf":
-        solver_cfg = SolverConfig(max_rounds=2 * rounds, schedules=cfg.wf, stop_tolerance=stop, precision=precision)
+        solver_cfg = SolverConfig(max_rounds=2 * rounds, schedules=cfg.wf, stop_tolerance=stop, precision="mixed")
         return wf_solve(e, b, z0, solver_cfg, truth=x0)
-    solver_cfg = SolverConfig(max_rounds=rounds, schedules=cfg.alt, stop_tolerance=stop, precision=precision)
+    solver_cfg = SolverConfig(max_rounds=rounds, schedules=cfg.alt, stop_tolerance=stop, precision="mixed")
     return altmin_solve(e, b, z0, solver_cfg, truth=x0)
 
 
@@ -261,18 +264,17 @@ def _final(result, distance):
 def _trial_error(cfg, task):
     """Final relative error of one fully seeded sweep trial (inf if diverged).
 
-    Trials on dense frames run mixed precision. A success is counted at a
-    threshold far above the single-precision floor; a trial that reaches the
-    floor runs its remaining rounds in double precision (22-28% of the rounds
-    of a d = 128 trial that stops at 1e-8), and one that never does returns
-    the error of a single-precision iterate. The solver keeps CDP trials in
-    double precision.
+    Trials run mixed precision like every bench solve. A success is counted
+    at a threshold far above the single-precision floor; a trial that reaches
+    the floor refines in double precision on single-precision matvecs to its
+    stop, and one that never does returns the error of a single-precision
+    iterate. The solver keeps CDP trials in double precision.
     """
     grid_value, grid_idx, trial_idx = task
     e, x0 = _synthetic_instance(cfg, grid_value, grid_idx, trial_idx)
     b, z0 = _measure_and_start(cfg, e, x0, grid_idx, trial_idx)
     stop = cfg.stop_tol if cfg.stop_tol > 0 else None
-    result = _run_solver(cfg, cfg.algo, e, b, z0, x0, cfg.iterations // 2, stop, precision="mixed")
+    result = _run_solver(cfg, cfg.algo, e, b, z0, x0, cfg.iterations // 2, stop)
     return _final(result, partial(relative_error, x0))
 
 

@@ -74,10 +74,10 @@ def residuals(e, x, y, b, fx=None, fy=None, out=None):
     return res
 
 
-def wf_residuals(e, z, b, out=None):
-    """r_n = |f_n^* z|^2 - b_n with fx = fy = f^* z, read by wf_loss and wf_grad."""
+def wf_residuals(e, z, b, fz=None, out=None):
+    """r_n = |f_n^* z|^2 - b_n with fx = fy = f^* z cached (``fz`` if given), read by wf_loss and wf_grad."""
     res = Residuals(None, None, None) if out is None else out
-    res.fx = res.fy = fz = forward(e, z, res.fx)
+    res.fx = res.fy = fz = forward(e, z, res.fx) if fz is None else fz
     r = res.r = np.square(fz.real, res.r)
     np.subtract(np.add(r, np.square(fz.imag, res.sq), r), b, r)
     return res

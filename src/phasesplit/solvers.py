@@ -200,6 +200,10 @@ def _step_rule(schedules, sq_norm, unit):
 # mean(b^2) at d = 128). Ten times that is where its rounds still descend
 # like double precision's and the switch lands near relative error 1e-6.
 _KAPPA = 10.0
+# Past that floor a block's cached forward is refreshed in double precision
+# every _REFRESH rounds: the longest period that kept every final error of the
+# 40 convergence curves of seeds 1 and 7 within 1.5x of all-double solves.
+_REFRESH = 17
 _EPS32 = float(np.finfo(np.float32).eps)
 # float32 must hold the squares of residuals up to 1e3 times the largest intensity
 _HEADROOM = 1e6
@@ -207,29 +211,49 @@ _SINGLE = {"c": np.complex64, "f": np.float32}
 _DOUBLE = {"c": np.complex128, "f": np.float64}
 
 
+def _cast(arrays, table, keep=()):
+    """``arrays`` in the precision ``table`` gives each kind, but for those in
+    ``keep``; each is cast once, so that aliases stay aliases, and an array
+    already in its precision is kept, not copied."""
+    kept = {id(a) for a in keep}
+    new = {id(a): a if id(a) in kept else a.astype(table[a.dtype.kind], copy=False) for a in arrays if a is not None}
+    return [None if a is None else new[id(a)] for a in arrays]
+
+
 class _Precision:
     """When and how a solve changes precision, read off each round's loss.
 
-    Under ``cfg.precision == "mixed"`` the rounds after row 0 run in single
-    precision down to the floor ``_KAPPA * eps32^2 * mean(b^2)`` of the real
-    intensities ``b``, unless the start is already there, then in double
-    precision for good. CDP ensembles (whose complex64 FFTs are no faster)
-    stay double, as do intensities whose squared residuals or floor float32
-    cannot hold. A change casts the round's arrays, keeping their values, so
-    it costs no matvec.
+    Under ``cfg.precision == "mixed"`` the rounds after row 0 run on a
+    single-precision copy of the frame down to the floor
+    ``_KAPPA * eps32^2 * mean(b^2)`` of the real intensities ``b``, unless the
+    start is already there. From the floor on the solve refines: the
+    iterates, the cached forwards, the residual and the loss are double
+    precision, while the gradients' adjoints and the forwards of the
+    gradients stay on the single copy. A block that moves v by -s g updates
+    its cached forward linearly, F^*v - s F^*g, except every ``_REFRESH``-th
+    round from the floor's, when it recomputes F^*v on the double frame: the
+    floor's round opens with a refresh because the forwards cast up from
+    single precision still carry its error. CDP ensembles (whose complex64
+    FFTs are no faster) stay double, as do intensities whose squared
+    residuals or floor float32 cannot hold. A change casts the round's
+    arrays, keeping their values, and no round costs more matvecs than in
+    double precision.
     """
 
     def __init__(self, cfg, e, b):
         self.level = None  # the floor while a change is still ahead, else None
-        self.double = None  # the double-precision (ensemble, intensities) while single rounds run
+        self.double = None  # the double-precision (ensemble, intensities) once single rounds run
+        self.opened = None  # the round the refinement opened at
+        self.scratch = None  # past the floor: the single-precision forward of a gradient
         if cfg.precision == "mixed" and e.masks is None:
             f32 = np.finfo(np.float32)
             level = _KAPPA * _EPS32**2 * float(np.mean(np.square(b)))
             if float(np.max(b)) <= math.sqrt(f32.max / _HEADROOM) and level >= f32.tiny:
                 self.level = level
 
-    def due(self, value):
-        """Whether the round after one that ended at loss ``value`` changes precision."""
+    def due(self, tau, value):
+        """Whether round ``tau``, after one that ended at loss ``value``, changes
+        precision; at the floor, ``tau`` is the round the refinement opens at."""
         if self.level is None:
             return False
         if self.double is None:  # row 0
@@ -237,24 +261,36 @@ class _Precision:
                 return True
             self.level = None  # the start is already at the floor
             return False
-        return value <= self.level
+        if value > self.level:
+            return False
+        self.opened = tau
+        return True
 
-    def cast(self, e, b, arrays):
-        """(ensemble, intensities, arrays) for the next round, from the current ones."""
+    def cast(self, e, b, arrays, matvec):
+        """(ensemble, intensities, arrays) for the round that changes precision.
+
+        Going down, every array is cast to single precision. At the floor
+        they go back to double but for ``matvec``, the gradients and the
+        adjoint's input, which stay single with the ensemble: the
+        single-precision matvecs write and read them.
+        """
         if self.double is None:
-            self.double, table = (e, b), _SINGLE
+            self.double = (e, b)
             e, b = Ensemble(frame=e.frame.astype(_SINGLE[e.frame.dtype.kind])), b.astype(_SINGLE[b.dtype.kind])
-        else:  # back to the double-precision pair, for good
-            (e, b), table = self.double, _DOUBLE
-            self.double = self.level = None
-        return e, b, [None if a is None else a.astype(table[a.dtype.kind]) for a in arrays]
+            return e, b, _cast(arrays, _SINGLE)
+        self.level = None
+        self.scratch = np.empty(e.N, e.frame.dtype)
+        return e, self.double[1], _cast(arrays, _DOUBLE, keep=matvec)
 
-    def finish(self, arrays):
-        """``arrays`` in double precision, each cast once so that aliases stay aliases."""
-        if self.double is None:  # no single-precision round is running
-            return arrays
-        double = {id(a): a.astype(_DOUBLE[a.dtype.kind]) for a in arrays}
-        return [double[id(a)] for a in arrays]
+    def forward(self, e, tau, v, f, step, g):
+        """F^* v into ``f``, which holds F^* v from before round ``tau`` moved v
+        by -``step`` * ``g``: a matvec on ``e`` until the floor, then the
+        linear update but in refresh rounds."""
+        if self.opened is None:
+            return forward(e, v, f)
+        if (tau - self.opened) % _REFRESH == 0:
+            return forward(self.double[0], v, f)
+        return np.subtract(f, np.multiply(step, forward(e, g, self.scratch), self.scratch), f)
 
 
 def _alt_rounds(e, b, z, cfg, sq_norm, precision):
@@ -270,18 +306,21 @@ def _alt_rounds(e, b, z, cfg, sq_norm, precision):
     value = split_loss(e, x, y, b, lam, res=res)
     yield TraceRow(0, value, 0.0, lam, None)
     for tau in itertools.count(1):
-        if precision.due(value):
-            e, b, (x, y, gx, gy, update, mid, *parts) = precision.cast(e, b, (x, y, gx, gy, update, mid, *vars(res).values()))
+        if precision.due(tau, value):
+            arrays = (x, y, gx, gy, update, mid, *vars(res).values())
+            e, b, (x, y, gx, gy, update, mid, *parts) = precision.cast(e, b, arrays, (gx, gy, res.weights))
             res = Residuals(*parts)
         lam = coupling_schedule(tau, sched.lam0, sched.lam_decay)
         split_grad_x(e, res, x, y, lam, out=gx)
         alpha = step(tau, gx, lambda: split_quad_form(e, y, gx, lam, f_anchor=res.fy))
         np.subtract(x, np.multiply(alpha, gx, update), x)
-        residuals(e, x, y, b, fy=res.fy, out=res)
+        fx = precision.forward(e, tau, x, res.fx, alpha, gx)
+        residuals(e, x, y, b, fx=fx, fy=res.fy, out=res)
         split_grad_y(e, res, x, y, lam, out=gy)
         beta = step(tau, gy, lambda: split_quad_form(e, x, gy, lam, f_anchor=res.fx))
         np.subtract(y, np.multiply(beta, gy, update), y)
-        residuals(e, x, y, b, fx=res.fx, out=res)
+        fy = precision.forward(e, tau, y, res.fy, beta, gy)
+        residuals(e, x, y, b, fx=res.fx, fy=fy, out=res)
         value = split_loss(e, x, y, b, lam, res=res)
         np.divide(np.add(x, y, mid), 2.0, mid)
         yield TraceRow(tau, value, alpha, lam, None), (gx, gy), (x, y, mid)
@@ -296,14 +335,14 @@ def _wf_rounds(e, b, z, cfg, sq_norm, precision):
     value = wf_loss(e, z, b, res=res)
     yield TraceRow(0, value, 0.0, 0.0, None)
     for tau in itertools.count(1):
-        if precision.due(value):
-            e, b, (z, g, update, *parts) = precision.cast(e, b, (z, g, update, *vars(res).values()))
+        if precision.due(tau, value):
+            e, b, (z, g, update, *parts) = precision.cast(e, b, (z, g, update, *vars(res).values()), (g, res.weights))
             res = Residuals(*parts)
         wf_grad(e, z, b, res=res, out=g)
         # the line search's step ||g||^2 / q minimizes the flow's curvature model along g
         delta = step(tau, g, lambda: wf_quad_form(e, z, g, fz=res.fx) / 2.0)
         np.subtract(z, np.multiply(delta, g, update), z)
-        wf_residuals(e, z, b, out=res)
+        wf_residuals(e, z, b, fz=precision.forward(e, tau, z, res.fx, delta, g), out=res)
         value = wf_loss(e, z, b, res=res)
         yield TraceRow(tau, value, delta, 0.0, None), (g,), (z, z, z)
 
@@ -358,7 +397,7 @@ def _solve(e, b, z0, cfg, truth, rounds):
                     converged = True
                     break
 
-    x, y, z = precision.finish((x, y, z))
+    x, y, z = _cast((x, y, z), _DOUBLE)
     return SolveResult(x_final=x, y_final=y, z_final=z, trace=trace, converged=converged,
                        rounds_used=rounds_used, diverged=diverged)
 

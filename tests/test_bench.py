@@ -110,6 +110,8 @@ class TestConfigParsing:
         ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam0=300.0)}, "no coupling"),
         ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam_decay=0.01)}, "no coupling"),
         ({"algo": "sgd"}, "unknown algo 'sgd'"),
+        ({"alt": Schedules(lam0=30.0, step="exact")}, "scheduled steps only"),
+        ({"wf": Schedules(step="exact")}, "scheduled steps only"),
         ({"workers": 0}, "workers must be an integer >= 1"),
         ({"image_rounds": (0,)}, "image_rounds must be an integer >= 1"),
         # a count is an integer, not a bool or a float: seed=1.5 would run
@@ -332,6 +334,20 @@ class TestConvergence:
         a1, w1, _, _ = bench.run_convergence_curve(cfg)
         a2, w2, _, _ = bench.run_convergence_curve(cfg)
         assert bench.convergence_csv(a1, w1) == bench.convergence_csv(a2, w2)
+
+
+def test_every_experiment_solve_runs_mixed_precision(monkeypatch, tmp_path):
+    precisions = []
+    for name in ("altmin_solve", "wf_solve"):
+        def logged(e, b, z0, cfg, truth=None, solve=getattr(bench, name)):
+            precisions.append(cfg.precision)
+            return solve(e, b, z0, cfg, truth=truth)
+
+        monkeypatch.setattr(bench, name, logged)
+    bench.run_phase_transition(tiny_phase_config(trials=1, iterations=20))
+    bench.run_convergence_curve(tiny_phase_config(experiment="converge", iterations=20))
+    bench.run_image_experiment(tiny_phase_config(image_path=gradient_pgm(tmp_path), image_rounds=(10,)))
+    assert len(precisions) == 2 + 2 + 2 and set(precisions) == {"mixed"}
 
 
 def test_csv_float_fields_take_numpy_floats():

@@ -637,20 +637,20 @@ class TestRealFrameStart:
 
 @pytest.fixture
 def precisions(monkeypatch):
-    """The event log of a solve: the dtype of every matvec's frame and every
+    """The event log of a solve: (name, frame dtype) of every matvec and every
     relative error the solver records, in order."""
     log = []
 
-    def logged(fn):
+    def logged(fn, name):
         def wrapper(e, *args, **kwargs):
-            log.append((e.frame if e.masks is None else e.masks).dtype)
+            log.append((name, (e.frame if e.masks is None else e.masks).dtype))
             return fn(e, *args, **kwargs)
 
         return wrapper
 
     for module in (solvers, objective):
         for name in ("forward", "adjoint"):
-            monkeypatch.setattr(module, name, logged(getattr(module, name)))
+            monkeypatch.setattr(module, name, logged(getattr(module, name), name))
     rel = solvers.relative_error
 
     def logged_rel(x, y):
@@ -661,21 +661,34 @@ def precisions(monkeypatch):
     return log
 
 
-def _matvec_dtypes(log):
-    return [entry for entry in log if isinstance(entry, np.dtype)]
+def _matvec_dtypes(log, name=None):
+    """The frame dtypes of the logged matvecs, or of those called ``name``."""
+    return [entry[1] for entry in log if isinstance(entry, tuple) and name in (None, entry[0])]
 
 
 def _switches(log):
     """(relative error before, new dtype) at each change of matvec precision."""
     changes, last, rel = [], None, None
     for entry in log:
-        if not isinstance(entry, np.dtype):
+        if not isinstance(entry, tuple):
             rel = entry
-        elif entry != last:
+        elif entry[1] != last:
             if last is not None:
-                changes.append((rel, entry))
-            last = entry
+                changes.append((rel, entry[1]))
+            last = entry[1]
     return changes
+
+
+def _rounds(log):
+    """The logged matvecs of each round, from round 1: a solve records one
+    relative error after its start and one after each round."""
+    rounds = [[]]
+    for entry in log:
+        if isinstance(entry, tuple):
+            rounds[-1].append(entry)
+        else:
+            rounds.append([])
+    return rounds[1:-1]
 
 
 class TestCostModel:
@@ -744,8 +757,9 @@ class TestCostModel:
 
         short = matvecs(2)
         assert matvecs(1500) - short == 1498 * per_round
-        # the long solve went down to single precision and came back up
-        assert [dtype for _, dtype in _switches(precisions)] == [np.complex64, np.complex128]
+        # the long solve went down to single precision and refined past the floor
+        assert [dtype for _, dtype in _switches(precisions)][:2] == [np.complex64, np.complex128]
+        assert set(_matvec_dtypes(precisions, "adjoint")) == {np.dtype(np.complex64)}
 
 
 _CONTRACT_E = gaussian_ensemble(8, 48, seed=21)
@@ -859,7 +873,10 @@ class TestMixedPrecision:
     def test_results_are_double(self, precisions, solve, sched, stop):
         e, x0, b, init = instance(21)
         res = solve(e, b, init.z0, self._config(sched, stop=stop), truth=x0)
-        assert (stop is not None) == (_matvec_dtypes(precisions)[-1] == np.complex64)
+        # past the start, only a solve that refines past the floor runs double forwards
+        forwards = _matvec_dtypes(precisions, "forward")
+        assert (stop is None) == (np.complex128 in forwards[forwards.index(np.complex64):])
+        assert _matvec_dtypes(precisions, "adjoint")[-1] == np.complex64
         for a in (res.x_final, res.y_final, res.z_final):
             assert a.dtype == np.complex128
         if solve is wf_solve:
@@ -924,6 +941,36 @@ class TestMixedPrecision:
         z0 = spectral_init(e, b, rng=rng_stream(24, 2)).z0
         res = solve(e, b, z0, self._config(sched, rounds=2500, stop=1e-8), truth=x0)
         assert res.converged
-        (_, down), (rel, up) = _switches(precisions)
+        # the first double-precision matvec is the floor round's refresh
+        (_, down), (rel, up) = _switches(precisions)[:2]
         assert (down, up) == (np.complex64, np.complex128)
         assert 1e-7 <= rel <= 1e-5
+
+    @pytest.mark.parametrize("solve, sched", MIXED_SOLVERS, ids=["alt", "wf"])
+    def test_refined_final_error_matches_double(self, solve, sched):
+        # test_switch_near_single_precision_floor's instance, to its full budget
+        e = gaussian_ensemble(128, 576, seed=24)
+        x0 = random_gaussian_signal(128, rng_stream(24, 1))
+        b = measure(e, x0)
+        z0 = spectral_init(e, b, rng=rng_stream(24, 2)).z0
+        double = SolverConfig(max_rounds=2500, schedules=sched)
+        mixed = solve(e, b, z0, self._config(sched, rounds=2500), truth=x0).trace[-1].rel_error
+        assert mixed <= 1.5 * solve(e, b, z0, double, truth=x0).trace[-1].rel_error
+        if solve is altmin_solve:
+            assert mixed <= 1e-13
+
+    @pytest.mark.parametrize("solve, sched, blocks", [(altmin_solve, ALT, 2), (wf_solve, WF, 1)], ids=["alt", "wf"])
+    def test_refresh_period_past_the_floor(self, precisions, solve, sched, blocks):
+        e, x0, b, init = instance(21)
+        solve(e, b, init.z0, self._config(sched), truth=x0)
+        rounds = _rounds(precisions)
+        assert len(rounds) == 2000
+        # each round: every block's adjoint, then the forward of its move
+        assert all([name for name, _ in r] == ["adjoint", "forward"] * blocks for r in rounds)
+        opened = next(tau for tau, r in enumerate(rounds, 1) if np.complex128 in (dtype for _, dtype in r))
+        assert all(dtype == np.complex64 for r in rounds[: opened - 1] for _, dtype in r)
+        for tau, r in enumerate(rounds[opened - 1:], opened):
+            assert [dtype for name, dtype in r if name == "adjoint"] == [np.complex64] * blocks
+            due = (tau - opened) % solvers._REFRESH == 0
+            assert [dtype for name, dtype in r if name == "forward"] == [np.complex128 if due else np.complex64] * blocks
+        assert len(rounds) - opened >= 5 * solvers._REFRESH
