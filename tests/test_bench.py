@@ -110,8 +110,6 @@ class TestConfigParsing:
         ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam0=300.0)}, "no coupling"),
         ({"wf": Schedules(tau0=330.0, mu_max=0.2, lam_decay=0.01)}, "no coupling"),
         ({"algo": "sgd"}, "unknown algo 'sgd'"),
-        ({"alt": Schedules(lam0=30.0, step="exact")}, "scheduled steps only"),
-        ({"wf": Schedules(step="exact")}, "scheduled steps only"),
         ({"workers": 0}, "workers must be an integer >= 1"),
         ({"image_rounds": (0,)}, "image_rounds must be an integer >= 1"),
         # a count is an integer, not a bool or a float: seed=1.5 would run
@@ -127,6 +125,8 @@ class TestConfigParsing:
         ({"image_L": 15.0}, "image_L must be an integer >= 1, not 15.0"),
         ({"image_rounds": (100, 125.0)}, "image_rounds must be an integer >= 1, not 125.0"),
         ({"stop_tol": True}, "stop_tol must be a finite number >= 0, not True"),
+        ({"alt": Schedules(lam0=30.0, step="exact")}, "scheduled steps only"),
+        ({"wf": Schedules(step="exact")}, "scheduled steps only"),
     ])
     def test_one_rule_set_for_every_runner(self, overrides, match):
         # an invalid config cannot be built, so no runner can receive one
