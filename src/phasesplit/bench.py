@@ -14,8 +14,9 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -200,27 +201,64 @@ def _usable_cpus():
 
 
 _SET_BLAS_THREADS = "scipy_openblas_set_num_threads64_"
+_GET_BLAS_THREADS = "scipy_openblas_get_num_threads64_"
+# A Gaussian frame of at most this many entries (d*N) is worked on with one
+# OpenBLAS thread (_blas_threads_for): the largest size at which one thread's
+# wall time stayed within the noise of two's. One run_convergence_curve at
+# N = 4.5d, 600 iterations, seed 3, best of 3 per fresh process, 10 processes
+# per cell (6 at d = 256), 2-CPU Xeon VM, OpenBLAS 0.3.31; median wall (range):
+#   d    one thread             two threads            CPU, one : two
+#   128  0.117 s (0.103-0.126)  0.116 s (0.087-0.124)  0.12 : 0.23 s
+#   160  0.145 s (0.112-0.186)  0.146 s (0.115-0.157)  0.15 : 0.29 s
+#   192  0.215 s (0.156-0.285)  0.177 s (0.146-0.196)  0.22 : 0.35 s
+#   256  0.449 s (0.361-0.465)  0.262 s (0.229-0.309)  0.45 : 0.52 s
+_ONE_THREAD_ENTRIES = 160 * 720
 
 
-def _openblas_path():
-    """numpy's bundled OpenBLAS library if it exports the thread setter, else None."""
+@cache
+def _openblas():
+    """(set_threads, get_threads) of numpy's bundled OpenBLAS, or None if it
+    is missing or lacks either; looked up once per process."""
     numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(numpy_libs, "libscipy_openblas64_*.so"))):
-        if hasattr(ctypes.CDLL(path), _SET_BLAS_THREADS):
-            return path
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, _SET_BLAS_THREADS) and hasattr(lib, _GET_BLAS_THREADS):
+            set_threads, get_threads = getattr(lib, _SET_BLAS_THREADS), getattr(lib, _GET_BLAS_THREADS)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
     return None
 
 
-def _one_blas_thread(path):
+def _one_blas_thread():
     """Pool initializer: one BLAS thread per worker, so workers do not
     oversubscribe the cores with the BLAS threads of every other worker.
-    Does nothing when ``path`` is None."""
-    if path is None:
+    Does nothing without numpy's bundled OpenBLAS."""
+    blas = _openblas()
+    if blas is not None:
+        set_threads, _ = blas
+        set_threads(1)
+
+
+@contextmanager
+def _blas_threads_for(e):
+    """One OpenBLAS thread while the block works on ensemble ``e``, if it is a
+    Gaussian frame of at most ``_ONE_THREAD_ENTRIES`` entries: its matvecs
+    are too small for a second thread to pay, which spins between them. The
+    caller's count is restored on exit, also when the block raises. CDP
+    ensembles (FFTs, no BLAS) and larger frames keep the caller's threads,
+    and without numpy's bundled OpenBLAS this does nothing."""
+    blas = _openblas() if e.masks is None and e.d * e.N <= _ONE_THREAD_ENTRIES else None
+    if blas is None:
+        yield
         return
-    set_threads = getattr(ctypes.CDLL(path), _SET_BLAS_THREADS)
-    set_threads.argtypes = [ctypes.c_int]
-    set_threads.restype = None
+    set_threads, get_threads = blas
+    threads = get_threads()
     set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _synthetic_instance(cfg, grid_value, grid_idx, trial_idx):
@@ -272,10 +310,11 @@ def _trial_error(cfg, task):
     """
     grid_value, grid_idx, trial_idx = task
     e, x0 = _synthetic_instance(cfg, grid_value, grid_idx, trial_idx)
-    b, z0 = _measure_and_start(cfg, e, x0, grid_idx, trial_idx)
-    stop = cfg.stop_tol if cfg.stop_tol > 0 else None
-    result = _run_solver(cfg, cfg.algo, e, b, z0, x0, cfg.iterations // 2, stop)
-    return _final(result, partial(relative_error, x0))
+    with _blas_threads_for(e):
+        b, z0 = _measure_and_start(cfg, e, x0, grid_idx, trial_idx)
+        stop = cfg.stop_tol if cfg.stop_tol > 0 else None
+        result = _run_solver(cfg, cfg.algo, e, b, z0, x0, cfg.iterations // 2, stop)
+        return _final(result, partial(relative_error, x0))
 
 
 @dataclass
@@ -297,10 +336,9 @@ def run_phase_transition(cfg):
     workers = min(cfg.workers, _usable_cpus())
     t0 = time.perf_counter()
     if workers > 1:
-        blas = _openblas_path()
-        if blas is None:
+        if _openblas() is None:
             log.warning("numpy's bundled OpenBLAS not found: sweep workers keep their default BLAS threads")
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread, initargs=(blas,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             errors = list(pool.map(trial, tasks, chunksize=1))
     else:
         errors = list(map(trial, tasks))
@@ -329,14 +367,16 @@ def run_convergence_curve(cfg):
     """
     grid_value = cfg.grid[-1] if cfg.model == "cdp" else 4.5
     e, x0 = _synthetic_instance(cfg, grid_value, 0, 0)
-    t0 = time.perf_counter()
-    alt, wf = _solve_pair(cfg, e, x0, 0, 0, cfg.iterations // 2)
-    elapsed = time.perf_counter() - t0
+    with _blas_threads_for(e):
+        t0 = time.perf_counter()
+        alt, wf = _solve_pair(cfg, e, x0, 0, 0, cfg.iterations // 2)
+        elapsed = time.perf_counter() - t0
+        bound_c = upper_frame_bound(e)
+        nuclear_dist = _final(alt, partial(analysis.nuclear_dist_rank2, x0))
 
     # Robustness bound ingredients (the stability constant is not computable,
     # so the bound is reported for inspection rather than asserted).
     lam_final, delta_sq = float(alt.trace[-1].lam), float(alt.trace[-1].objective)
-    bound_c = upper_frame_bound(e)
     summary = {
         "d": cfg.d,
         "ratio": float(grid_value),
@@ -345,7 +385,7 @@ def run_convergence_curve(cfg):
         "alt_final_rel_error": _final(alt, partial(relative_error, x0)),
         "wf_final_rel_error": _final(wf, partial(relative_error, x0)),
         "frame_bound_C": bound_c,
-        "nuclear_dist_lhs": _final(alt, partial(analysis.nuclear_dist_rank2, x0)),
+        "nuclear_dist_lhs": nuclear_dist,
         "objective_delta_sq": delta_sq,
         "stability_rhs_computable_part": (
             bound_c / (4.0 * lam_final) * delta_sq + float(np.sqrt(delta_sq))

@@ -1,4 +1,3 @@
-import ctypes
 import logging
 import os
 import pathlib
@@ -7,6 +6,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -24,9 +24,7 @@ FAST_WF = Schedules(tau0=330.0, mu_max=0.2)
 
 
 def _worker_blas_threads():
-    get_threads = ctypes.CDLL(bench._openblas_path()).scipy_openblas_get_num_threads64_
-    get_threads.argtypes = []
-    get_threads.restype = ctypes.c_int
+    _, get_threads = bench._openblas()
     return get_threads()
 
 
@@ -220,7 +218,7 @@ class TestPhaseTransition:
         assert bench.run_phase_transition(cfg) == serial
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
-        if bench._openblas_path() is None:
+        if bench._openblas() is None:
             pytest.skip("numpy has no bundled OpenBLAS here")
         pool_kwargs = []
 
@@ -245,6 +243,8 @@ class TestPhaseTransition:
             monkeypatch.setattr(bench.glob, "glob", lambda pattern: [])
         else:
             monkeypatch.setattr(bench, "_SET_BLAS_THREADS", "no_such_blas_symbol")
+        # the lookup is cached once per process: look it up afresh under the patch
+        monkeypatch.setattr(bench, "_openblas", cache(bench._openblas.__wrapped__))
         with caplog.at_level(logging.WARNING, logger="phasesplit.bench"):
             assert bench.run_phase_transition(replace(cfg, workers=2)) == serial
         assert len(caplog.records) == 1 and "OpenBLAS" in caplog.records[0].getMessage()
@@ -334,6 +334,77 @@ class TestConvergence:
         a1, w1, _, _ = bench.run_convergence_curve(cfg)
         a2, w2, _, _ = bench.run_convergence_curve(cfg)
         assert bench.convergence_csv(a1, w1) == bench.convergence_csv(a2, w2)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS on two threads for the test, the earlier count after it."""
+    blas = bench._openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+def _solve_threads(monkeypatch, get_threads, fail=False):
+    """Record the OpenBLAS thread count inside every alternating solve."""
+    seen = []
+
+    def spy(e, b, z0, cfg, truth=None, solve=bench.altmin_solve):
+        seen.append(get_threads())
+        if fail:
+            raise RuntimeError("solve failed")
+        return solve(e, b, z0, cfg, truth=truth)
+
+    monkeypatch.setattr(bench, "altmin_solve", spy)
+    return seen
+
+
+_SMALL_GAUSSIAN_RUNS = {
+    "curve": lambda: bench.run_convergence_curve(tiny_phase_config(experiment="converge", iterations=40)),
+    "sweep trial": lambda: bench.run_phase_transition(tiny_phase_config(grid=(6.0,), trials=1, iterations=40)),
+}
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("run", sorted(_SMALL_GAUSSIAN_RUNS))
+    def test_small_gaussian_instance_solves_on_one_thread(self, monkeypatch, two_blas_threads, run):
+        seen = _solve_threads(monkeypatch, two_blas_threads)
+        _SMALL_GAUSSIAN_RUNS[run]()
+        assert seen == [1]
+        assert two_blas_threads() == 2  # the caller's count is back
+
+    @pytest.mark.parametrize("run", sorted(_SMALL_GAUSSIAN_RUNS))
+    def test_count_restored_when_a_solve_raises(self, monkeypatch, two_blas_threads, run):
+        seen = _solve_threads(monkeypatch, two_blas_threads, fail=True)
+        with pytest.raises(RuntimeError, match="solve failed"):
+            _SMALL_GAUSSIAN_RUNS[run]()
+        assert seen == [1]
+        assert two_blas_threads() == 2
+
+    @pytest.mark.parametrize("instance", ["over the size limit", "cdp"])
+    def test_other_instances_keep_the_callers_threads(self, monkeypatch, two_blas_threads, instance):
+        set_threads = []
+        monkeypatch.setattr(bench, "_openblas", lambda: (set_threads.append, two_blas_threads))
+        seen = _solve_threads(monkeypatch, two_blas_threads)
+        cfg = tiny_phase_config(experiment="converge", iterations=40)
+        if instance == "cdp":
+            cfg = replace(cfg, model="cdp", grid=(4.0,))
+        else:
+            monkeypatch.setattr(bench, "_ONE_THREAD_ENTRIES", 0)
+        bench.run_convergence_curve(cfg)
+        assert seen == [2] and set_threads == []
+
+    def test_curve_bytes_do_not_depend_on_the_thread_count(self, monkeypatch, two_blas_threads):
+        cfg = replace(bench.PRESETS["gaussian_gaussian"], experiment="converge", d=128, iterations=200)
+        assert 128 * 576 <= bench._ONE_THREAD_ENTRIES
+        one = bench.convergence_csv(*bench.run_convergence_curve(cfg)[:2])
+        monkeypatch.setattr(bench, "_ONE_THREAD_ENTRIES", 0)
+        two = bench.convergence_csv(*bench.run_convergence_curve(cfg)[:2])
+        assert one == two
 
 
 def test_every_experiment_solve_runs_mixed_precision(monkeypatch, tmp_path):
